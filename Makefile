@@ -80,8 +80,8 @@ bench-json-pr8:
 	sh scripts/bench_compare.sh pr8
 
 # Calendar-zoo benchmark run; writes BENCH_PR10.json (zoned/fiscal/trading
-# tick resolution through the conversion tables vs direct arithmetic) and
-# gates the in-bound table lookups at allocs/op == 0.
+# tick resolution at 2026 through System.Ticker, fiscal months also on
+# direct arithmetic) and gates the Ticker lookups at allocs/op == 0.
 bench-json-pr10:
 	sh scripts/bench_compare.sh pr10
 

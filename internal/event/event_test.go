@@ -313,6 +313,30 @@ func TestGenerateAccess(t *testing.T) {
 	}
 }
 
+// TestGenerateAccessScanOnHourEnd: seed 642 draws a scan on the last second
+// of its hour, where drawing the failed logins used to call rand.Int63n(0)
+// and panic. The scan now moves one second earlier, and each scan keeps its
+// three failed logins after it within the same hour.
+func TestGenerateAccessScanOnHourEnd(t *testing.T) {
+	s := GenerateAccess(AccessConfig{Hosts: 3, StartYear: 2026, Days: 28, IntrusionProb: 0.8, Seed: 642})
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"h0", "h1", "h2"} {
+		for _, ts := range s.Occurrences(Type("scan-" + id)) {
+			logins := 0
+			for _, e := range s {
+				if e.Type == Type("failed-login-"+id) && e.Time > ts && (e.Time-1)/3600 == (ts-1)/3600 {
+					logins++
+				}
+			}
+			if logins != 3 {
+				t.Errorf("%s: scan at %d has %d later same-hour failed logins, want 3", id, ts, logins)
+			}
+		}
+	}
+}
+
 func TestIndex(t *testing.T) {
 	s := Sequence{{"a", 10}, {"b", 20}, {"a", 30}, {"c", 40}, {"a", 50}}
 	ix := NewIndex(s)

@@ -270,6 +270,11 @@ func GenerateAccess(cfg AccessConfig) Sequence {
 			if calendar.WeekdayOf(startRata+int64(d)) == calendar.Monday && rng.Float64() < cfg.IntrusionProb {
 				t0 := dayStart + 1*3600 + rng.Int63n(18*3600)
 				hourStart := ((t0 - 1) / 3600) * 3600 // floor to the hour
+				if t0 == hourStart+3600 {
+					// A scan on its hour's last second leaves no later
+					// second for the failed logins: move it one earlier.
+					t0--
+				}
 				s = append(s, Event{Type: Type("scan-" + id), Time: t0})
 				// Failed logins in the same hour as the scan.
 				for k := 0; k < 3; k++ {

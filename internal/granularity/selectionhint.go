@@ -7,7 +7,8 @@ package granularity
 // lcm of the component periods, so the selection repeats too; the hint is
 // found by simulating the selection over exactly one joint period. Like
 // every other hint it is verified by the table builder, never trusted — a
-// wrong simulation degrades to the bounded fallback, not to a wrong table.
+// wrong simulation degrades to the generic detector or to no table, never to
+// a wrong table.
 
 const (
 	// selectionHintMaxOuter caps how many outer granules one joint period

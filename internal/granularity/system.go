@@ -148,9 +148,10 @@ func (s *System) Metrics(name string) *Metrics {
 
 // Table returns the compiled periodic table for the named granularity, or
 // nil when the name is unregistered or the type is not periodizable within
-// the builder's caps. The compilation is single-flight per name, like
-// Metrics; callers must treat nil as "use the direct implementation", never
-// as an error.
+// the builder's caps (DST days and weeks, trading sessions, holiday-aware
+// business days). The compilation is single-flight per name, like Metrics;
+// callers must treat nil as "use the direct implementation", never as an
+// error.
 func (s *System) Table(name string) *PeriodicTable {
 	// Load first: after the one-time fill this is the whole call, and it
 	// never allocates — LoadOrStore would build a discarded entry per call.

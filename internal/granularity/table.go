@@ -14,12 +14,11 @@ import (
 // period in seconds — so TickOf, Span, Intervals and the cover operator
 // ⌈z⌉ν_μ become O(log spans-per-period) table lookups instead of calendar
 // arithmetic. Granularities that are not periodic within the builder's caps
-// — holiday-aware b-day and the DST-shifted zoned types, whose minimal
-// period only closes at the 400-year Gregorian cycle with far more granules
-// than the cap — get a *bounded* table instead: explicit spans for the first
-// boundGranules granules (alloc-free lookups over the covered range) with
-// transparent delegation to the source granularity beyond the bound.
-// Correctness never depends on which form a table takes.
+// — holiday-aware b-day, trading sessions and the DST-shifted zoned days and
+// weeks, whose minimal period only closes at the 400-year Gregorian cycle
+// with far more granules than the cap — get no table, and System resolves
+// them through their own TickOf/Span/Intervals arithmetic (DESIGN.md, "No
+// table for aperiodic families", records the measurements behind this).
 
 // PeriodHint is an optional Granularity extension declaring (not necessarily
 // minimal) periodic structure: after the first prefix granules, the pattern
@@ -53,11 +52,6 @@ const (
 	// tableDetectMaxPrefix bounds the irregular prefix the generic detector
 	// will consider (hinted prefixes may be larger).
 	tableDetectMaxPrefix = 8
-	// boundGranules is how many leading granules a bounded fallback table
-	// materializes when no full period fits the cap. Lookups within the
-	// bound stay alloc-free table arithmetic; beyond it the table delegates
-	// to the source granularity.
-	boundGranules = 4096
 )
 
 // PeriodicTable is the compiled form of an eventually-periodic granularity:
@@ -67,14 +61,7 @@ const (
 // is immutable and safe for concurrent use.
 type PeriodicTable struct {
 	name    string
-	src     Granularity // the source; bounded tables delegate beyond bound
-	uniform int64       // > 0: gapless fixed-size granules, no span tables needed
-
-	// bounded tables have no periodic part: the prefix arrays hold granules
-	// 1..prefix, bound is the last second they cover, and everything beyond
-	// routes to src. n == 0 distinguishes the form.
-	bounded bool
-	bound   int64
+	uniform int64 // > 0: gapless fixed-size granules, no span tables needed
 
 	prefix int64 // number of irregular leading granules
 	n      int64 // granules per period
@@ -100,7 +87,7 @@ func (pt *PeriodicTable) Name() string { return pt.name }
 func (pt *PeriodicTable) Prefix() int64 { return pt.prefix }
 
 // PeriodGranules returns the number of granules per period (1 for uniform
-// tables, 0 for bounded fallback tables, which have no periodic part).
+// tables).
 func (pt *PeriodicTable) PeriodGranules() int64 {
 	if pt.uniform > 0 {
 		return 1
@@ -108,7 +95,7 @@ func (pt *PeriodicTable) PeriodGranules() int64 {
 	return pt.n
 }
 
-// PeriodSeconds returns the period length in seconds (0 for bounded tables).
+// PeriodSeconds returns the period length in seconds.
 func (pt *PeriodicTable) PeriodSeconds() int64 {
 	if pt.uniform > 0 {
 		return pt.uniform
@@ -116,24 +103,18 @@ func (pt *PeriodicTable) PeriodSeconds() int64 {
 	return pt.period
 }
 
-// Bounded reports whether this is a bounded fallback table: explicit spans
-// for the first Prefix() granules, source delegation beyond.
-func (pt *PeriodicTable) Bounded() bool { return pt.bounded }
-
-// Bound returns the last second covered by a bounded table's explicit spans
-// (0 for periodic tables).
-func (pt *PeriodicTable) Bound() int64 { return pt.bound }
+// Bounded always reports false: no table has a bounded form. It remains
+// only because the tempobench module still calls it.
+func (pt *PeriodicTable) Bounded() bool { return false }
 
 // Signature digests the table layout (prefix, period, every span offset) so
 // checkpoint fingerprints can bind a snapshot to the exact table build it
 // was taken under: same name, different table ⇒ different signature.
 func (pt *PeriodicTable) Signature() string {
 	h := sha256.New()
-	b := int64(0)
-	if pt.bounded {
-		b = pt.bound
-	}
-	fmt.Fprintf(h, "%s|u%d|p%d|n%d|P%d|o%d|b%d\n", pt.name, pt.uniform, pt.prefix, pt.n, pt.period, pt.origin, b)
+	// The constant |b0 field keeps every signature, and with it every TAG
+	// checkpoint fingerprint, equal to earlier builds' (TestFingerprintGolden).
+	fmt.Fprintf(h, "%s|u%d|p%d|n%d|P%d|o%d|b0\n", pt.name, pt.uniform, pt.prefix, pt.n, pt.period, pt.origin)
 	for i := range pt.preFirst {
 		fmt.Fprintf(h, "q%d:%d-%d\n", pt.preGranOf(i), pt.preFirst[i], pt.preLast[i])
 	}
@@ -162,16 +143,6 @@ func (pt *PeriodicTable) TickOf(t int64) (int64, bool) {
 	if pt.uniform > 0 {
 		return (t-1)/pt.uniform + 1, true
 	}
-	if pt.bounded {
-		if t > pt.bound {
-			return pt.src.TickOf(t)
-		}
-		i := sort.Search(len(pt.preFirst), func(k int) bool { return pt.preFirst[k] > t }) - 1
-		if i < 0 || t > pt.preLast[i] {
-			return 0, false
-		}
-		return int64(pt.preGranOf(i)) + 1, true
-	}
 	if t < pt.origin {
 		// Inside the irregular prefix (or a leading gap).
 		i := sort.Search(len(pt.preFirst), func(k int) bool { return pt.preFirst[k] > t }) - 1
@@ -192,9 +163,6 @@ func (pt *PeriodicTable) TickOf(t int64) (int64, bool) {
 
 // Span returns the convex hull of granule z.
 func (pt *PeriodicTable) Span(z int64) (Interval, bool) {
-	if pt.bounded && z > pt.prefix {
-		return pt.src.Span(z)
-	}
 	base, first, last, lo, hi, ok := pt.granSpans(z)
 	if !ok {
 		return Interval{}, false
@@ -210,13 +178,6 @@ func (pt *PeriodicTable) Intervals(z int64) ([]Interval, bool) {
 
 // AppendIntervals appends granule z's maximal intervals to dst.
 func (pt *PeriodicTable) AppendIntervals(dst []Interval, z int64) ([]Interval, bool) {
-	if pt.bounded && z > pt.prefix {
-		ivs, ok := pt.src.Intervals(z)
-		if !ok || len(ivs) == 0 {
-			return dst, false
-		}
-		return append(dst, ivs...), true
-	}
 	base, first, last, lo, hi, ok := pt.granSpans(z)
 	if !ok {
 		return dst, false
@@ -240,10 +201,6 @@ func (pt *PeriodicTable) granSpans(z int64) (base int64, first, last []int64, lo
 	if z <= pt.prefix {
 		return 0, pt.preFirst, pt.preLast, pt.preGranLo[z-1], pt.preGranLo[z], true
 	}
-	if pt.bounded {
-		// Callers handle out-of-bound delegation before reaching here.
-		return 0, nil, nil, 0, 0, false
-	}
 	j0 := z - 1 - pt.prefix
 	p := j0 / pt.n
 	j := j0 % pt.n
@@ -266,10 +223,6 @@ func (mu *PeriodicTable) CoverIn(nu *PeriodicTable, z int64) (int64, bool) {
 		}
 		return nu.coverInterval((z-1)*mu.uniform+1, z*mu.uniform)
 	}
-	if mu.bounded && z > mu.prefix {
-		// Outside the bounded range: the direct computation is the table.
-		return Cover(nu.src, mu.src, z)
-	}
 	mb, mf, ml, mlo, mhi, ok := mu.granSpans(z)
 	if !ok || mlo == mhi {
 		return 0, false
@@ -277,9 +230,6 @@ func (mu *PeriodicTable) CoverIn(nu *PeriodicTable, z int64) (int64, bool) {
 	zp, ok := nu.TickOf(mb + mf[mlo])
 	if !ok {
 		return 0, false
-	}
-	if nu.bounded && zp > nu.prefix {
-		return Cover(nu.src, mu.src, z)
 	}
 	if nu.uniform > 0 {
 		// A uniform granule is one interval; subset means hull containment.
@@ -324,9 +274,6 @@ func (pt *PeriodicTable) coverInterval(lo, hi int64) (int64, bool) {
 	if !ok {
 		return 0, false
 	}
-	if pt.bounded && zp > pt.prefix {
-		return coverWithin(pt.src, zp, lo, hi)
-	}
 	base, first, last, slo, shi, ok := pt.granSpans(zp)
 	if !ok {
 		return 0, false
@@ -348,42 +295,17 @@ func (pt *PeriodicTable) coverInterval(lo, hi int64) (int64, bool) {
 	return 0, false
 }
 
-// coverWithin checks that [lo, hi] is a subset of granule zp of g (every
-// second covered, no gap inside), returning zp on success. It is the
-// direct-arithmetic escape hatch for bounded tables' out-of-range covers.
-func coverWithin(g Granularity, zp, lo, hi int64) (int64, bool) {
-	ivs, ok := g.Intervals(zp)
-	if !ok {
-		return 0, false
-	}
-	rest := lo
-	for _, iv := range ivs {
-		if iv.Last < rest {
-			continue
-		}
-		if iv.First > rest {
-			return 0, false
-		}
-		if iv.Last >= hi {
-			return zp, true
-		}
-		rest = iv.Last + 1
-	}
-	return 0, false
-}
-
 // NewPeriodicTable compiles g into a periodic table. The build order is:
-// uniform closed form, declared PeriodHint (verified), generic detection
-// over a bounded sample, and finally the bounded fallback — explicit spans
-// for the first boundGranules granules with source delegation beyond, for
-// granularities whose period only closes past the caps (holiday-aware
-// b-day, DST-shifted zoned types). Every periodic candidate is verified
+// uniform closed form, declared PeriodHint (verified), then generic
+// detection over a bounded sample. Every periodic candidate is verified
 // span-by-span against the source granularity before a table is returned,
-// so a table can never disagree with its source. nil only for granularities
-// with no granule 1 at all.
+// so a table can never disagree with its source. nil when no verified
+// period fits the caps (holiday-aware b-day, trading sessions, DST-shifted
+// zoned days and weeks) or g has no granule 1 at all; callers then use g
+// directly.
 func NewPeriodicTable(g Granularity) *PeriodicTable {
 	if u, ok := g.(*Uniform); ok {
-		return &PeriodicTable{name: u.Name(), src: g, uniform: u.Size()}
+		return &PeriodicTable{name: u.Name(), uniform: u.Size()}
 	}
 	if ph, ok := g.(PeriodHint); ok {
 		prefix, n := ph.PeriodHint()
@@ -393,35 +315,7 @@ func NewPeriodicTable(g Granularity) *PeriodicTable {
 			}
 		}
 	}
-	if pt := detectTable(g); pt != nil {
-		return pt
-	}
-	return buildBoundedTable(g)
-}
-
-// buildBoundedTable materializes the first boundGranules granules of g as a
-// prefix-only table. Lookups inside the bound are the same alloc-free binary
-// searches as the periodic form; beyond it every operation delegates to g.
-func buildBoundedTable(g Granularity) *PeriodicTable {
-	pt := &PeriodicTable{name: g.Name(), src: g, bounded: true}
-	pt.preGranLo = append(pt.preGranLo, 0)
-	for z := int64(1); z <= boundGranules; z++ {
-		ivs, ok := g.Intervals(z)
-		if !ok || len(ivs) == 0 {
-			break
-		}
-		for _, iv := range ivs {
-			pt.preFirst = append(pt.preFirst, iv.First)
-			pt.preLast = append(pt.preLast, iv.Last)
-		}
-		pt.preGranLo = append(pt.preGranLo, int32(len(pt.preFirst)))
-		pt.bound = ivs[len(ivs)-1].Last
-	}
-	pt.prefix = int64(len(pt.preGranLo)) - 1
-	if pt.prefix == 0 {
-		return nil
-	}
-	return pt
+	return detectTable(g)
 }
 
 // detectTable is the generic periodicity detector: sample granule shapes,
@@ -481,7 +375,7 @@ func detectTable(g Granularity) *PeriodicTable {
 // buildTable materializes and verifies a (prefix, n) periodic table from
 // the source granularity; nil when the hypothesis does not hold.
 func buildTable(g Granularity, prefix, n int64) *PeriodicTable {
-	pt := &PeriodicTable{name: g.Name(), src: g, prefix: prefix, n: n}
+	pt := &PeriodicTable{name: g.Name(), prefix: prefix, n: n}
 	pt.preGranLo = append(pt.preGranLo, 0)
 	for z := int64(1); z <= prefix; z++ {
 		ivs, ok := g.Intervals(z)

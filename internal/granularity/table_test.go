@@ -56,12 +56,9 @@ func TestTableLayout(t *testing.T) {
 		t.Errorf("b-month-us: n=%d, want 4800", tb.PeriodGranules())
 	}
 	// The 400-year holiday cycle has ~100k b-day granules: beyond the cap,
-	// so b-day-us gets the bounded fallback form instead of a periodic one.
-	if tb := s.Table("b-day-us"); tb == nil {
-		t.Errorf("b-day-us: want a bounded fallback table, got none")
-	} else if !tb.Bounded() || tb.Prefix() == 0 || tb.Bound() == 0 {
-		t.Errorf("b-day-us: table not in bounded form (bounded=%v prefix=%d bound=%d)",
-			tb.Bounded(), tb.Prefix(), tb.Bound())
+	// so b-day-us gets no table and resolves directly.
+	if tb := s.Table("b-day-us"); tb != nil {
+		t.Errorf("b-day-us: want no table, got (prefix=%d, n=%d)", tb.Prefix(), tb.PeriodGranules())
 	}
 }
 

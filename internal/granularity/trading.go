@@ -101,7 +101,7 @@ func (g *tradingSessionG) Intervals(z int64) ([]Interval, bool) { return convexI
 // PeriodHint implements PeriodHint: without holidays or half-days the
 // schedule repeats weekly (5 sessions per 7 days); with either, the minimal
 // period is the 400-year cycle (~104k sessions), far past the table cap, so
-// no hint — the bounded fallback takes over.
+// no hint and no table: lookups use the direct session arithmetic.
 func (g *tradingSessionG) PeriodHint() (int64, int64) {
 	if g.cfg.Holidays != nil || g.cfg.HalfDays != nil {
 		return 0, 0
@@ -197,7 +197,7 @@ func (g *tradingWeekG) Intervals(z int64) ([]Interval, bool) {
 
 // PeriodHint implements PeriodHint: like week, granule 1 sits in the
 // partial leading week; holiday-aware variants only close at the 400-year
-// cycle (20871 weeks) and take the bounded fallback.
+// cycle (20871 weeks) and get no table.
 func (g *tradingWeekG) PeriodHint() (int64, int64) {
 	if g.cfg.Holidays != nil || g.cfg.HalfDays != nil {
 		return 0, 0

@@ -12,8 +12,8 @@ import (
 // zone-local weeks and months inherit the shifted boundaries. Granules stay
 // convex (an offset change stretches or shrinks a local day, it never tears
 // it), but for DST zones the granule-length pattern only repeats with the
-// 400-year Gregorian cycle — far past the periodic-table cap — so these are
-// the types the bounded fallback path exists for.
+// 400-year Gregorian cycle — far past the periodic-table cap — so DST days
+// and weeks compile no table and resolve through the arithmetic below.
 
 // zonedUnit selects which local civil unit a zoned granularity tracks.
 type zonedUnit int
@@ -156,8 +156,8 @@ func (g *zonedG) Intervals(z int64) ([]Interval, bool) { return convexIntervals(
 // every unit (146097 local days, 20871 weeks, 4800 months — months would
 // fit, but the *offsets* of month starts only repeat with the full cycle,
 // which the builder would need 4800 granules to verify; that fits too, so
-// months do hint). Days and weeks of DST zones return no hint and take the
-// bounded fallback.
+// months do hint). Days and weeks of DST zones return no hint and get no
+// table.
 func (g *zonedG) PeriodHint() (int64, int64) {
 	if g.zone.HasDST() {
 		if g.unit == zonedMonth {

@@ -245,41 +245,49 @@ func TestTradingWeek(t *testing.T) {
 }
 
 // TestEveryRegisteredCompilesTable is the PeriodHint-audit regression: every
-// granularity in the default registry must compile a periodic table (full or
-// bounded). A combinator silently dropping its hint used to leave whole
-// families on the slow path — Shift dropped the hint FiscalYear depended on,
-// and NthOf never declared one.
+// granularity in the default registry must compile a full periodic table of
+// its pinned shape, except the five aperiodic families, whose period only
+// closes at the 400-year cycle far past the cap and which get no table. A
+// combinator silently dropping its hint used to leave whole families on the
+// slow path — Shift dropped the hint FiscalYear depended on, and NthOf never
+// declared one — and now leaves a nil table this test reports.
 func TestEveryRegisteredCompilesTable(t *testing.T) {
 	s := Default()
-	for _, name := range s.Names() {
-		if s.Table(name) == nil {
-			t.Errorf("%s: no periodic table compiled", name)
-		}
+	aperiodic := map[string]bool{"day-et": true, "week-et": true, "day-cet": true, "session": true, "t-week": true}
+	// (prefix, granules per period) of every other registered family.
+	pinned := map[string][2]int64{
+		"second": {0, 1}, "minute": {0, 1}, "hour": {0, 1}, "day": {0, 1},
+		"week": {1, 1}, "b-week": {1, 1}, "weekend": {1, 1}, "f-week": {0, 1},
+		"b-day":     {0, 5},
+		"month":     {0, 4800},
+		"b-month":   {0, 4800},
+		"month-et":  {0, 4800}, // DST offsets at month starts repeat per 400y cycle
+		"f-month":   {0, 4800},
+		"payday":    {0, 4800}, // last b-day of month: one pick per month
+		"f-quarter": {0, 1600},
+		"year":      {0, 400},
+		"f-year":    {0, 400},
 	}
-	// The forms the zoo families must take: full periodic tables whenever
-	// the period closes within the cap, bounded fallbacks otherwise.
-	wantPeriodic := map[string]int64{
-		"month-et":  4800, // DST offsets at month starts repeat per 400y cycle
-		"f-week":    1,
-		"f-month":   4800,
-		"f-quarter": 1600,
-		"f-year":    400,
-		"payday":    4800, // last b-day of month: one pick per month
+	names := s.Names()
+	if len(pinned)+len(aperiodic) != len(names) {
+		t.Errorf("shapes pinned for %d families, registry has %d", len(pinned)+len(aperiodic), len(names))
 	}
-	for name, n := range wantPeriodic {
+	for _, name := range names {
 		tb := s.Table(name)
-		if tb == nil || tb.Bounded() || tb.PeriodGranules() != n {
-			t.Errorf("%s: want full periodic table with n=%d, got %+v", name, n, tableShape(tb))
-		}
-	}
-	for _, name := range []string{"day-et", "week-et", "day-cet", "session", "t-week"} {
-		tb := s.Table(name)
-		if tb == nil || !tb.Bounded() {
-			t.Errorf("%s: want bounded fallback table, got %+v", name, tableShape(tb))
+		want, ok := pinned[name]
+		switch {
+		case aperiodic[name]:
+			if tb != nil {
+				t.Errorf("%s: aperiodic family compiled table %+v, want none", name, tableShape(tb))
+			}
+		case !ok:
+			t.Errorf("%s: registered family has no pinned table shape", name)
+		case tb == nil || tb.Prefix() != want[0] || tb.PeriodGranules() != want[1]:
+			t.Errorf("%s: want full periodic table (prefix=%d, n=%d), got %+v", name, want[0], want[1], tableShape(tb))
 		}
 	}
 	// The fixed combinators lift hints to full tables.
-	if tb := NewPeriodicTable(FiscalYear("fy-oct", 10)); tb == nil || tb.Bounded() {
+	if tb := NewPeriodicTable(FiscalYear("fy-oct", 10)); tb == nil || tb.PeriodGranules() != 400 {
 		t.Errorf("FiscalYear(10): Shift dropped the PeriodHint again (table %+v)", tableShape(tb))
 	}
 }
@@ -288,31 +296,25 @@ func tableShape(tb *PeriodicTable) map[string]any {
 	if tb == nil {
 		return nil
 	}
-	return map[string]any{"bounded": tb.Bounded(), "prefix": tb.Prefix(), "n": tb.PeriodGranules()}
+	return map[string]any{"prefix": tb.Prefix(), "n": tb.PeriodGranules()}
 }
 
 // TestZooTableEquivalence is the periodic-table equivalence satellite: for
-// each zoo family, table-driven TickOf/Span/Intervals are bit-identical to
-// direct calendar arithmetic over at least one full period (every granule of
-// the 400-year cycle for the periodic forms; for the bounded DST/trading
-// forms, the whole explicit range plus the delegation seam).
+// each zoo family that compiles a table, table-driven TickOf/Span/Intervals
+// are bit-identical to direct calendar arithmetic over every granule of two
+// full periods and across the period seam.
 func TestZooTableEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-period sweep")
 	}
 	s := Default()
-	for _, name := range []string{"day-et", "month-et", "day-cet", "f-week", "f-month", "f-year", "session", "t-week", "payday", "week-et", "f-quarter"} {
+	for _, name := range []string{"month-et", "f-week", "f-month", "f-year", "payday", "f-quarter"} {
 		g := s.MustGet(name)
 		tb := s.Table(name)
 		if tb == nil {
 			t.Fatalf("%s: no table", name)
 		}
-		var zMax int64
-		if tb.Bounded() {
-			zMax = tb.Prefix() + 64 // cross the delegation seam
-		} else {
-			zMax = tb.Prefix() + 2*tb.PeriodGranules() + 3 // cross the period seam
-		}
+		zMax := tb.Prefix() + 2*tb.PeriodGranules() + 3 // cross the period seam
 		var scratch []Interval
 		for z := int64(1); z <= zMax; z++ {
 			want, wok := g.Intervals(z)

@@ -973,7 +973,8 @@ func TestNoEventLogMigration(t *testing.T) {
 
 // TestRestoreQuarantineAndOrphanSweep: a corrupt session record is
 // quarantined to .corrupt (daemon still starts), its event log is kept as
-// evidence, and an ownerless event-log directory is swept away.
+// evidence, and an ownerless event-log directory is swept away. The IDs of
+// kept logs stay taken, including one quarantined at an earlier start.
 func TestRestoreQuarantineAndOrphanSweep(t *testing.T) {
 	dir := t.TempDir()
 	sessDir := filepath.Join(dir, "sessions")
@@ -983,8 +984,13 @@ func TestRestoreQuarantineAndOrphanSweep(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(sessDir, "s000007.json"), []byte("torn gib"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.MkdirAll(filepath.Join(sessDir, "s000007.events"), 0o755); err != nil {
+	if err := os.WriteFile(filepath.Join(sessDir, "s000009.json.corrupt"), []byte("torn gib"), 0o644); err != nil {
 		t.Fatal(err)
+	}
+	for _, d := range []string{"s000007.events", "s000009.events"} {
+		if err := os.MkdirAll(filepath.Join(sessDir, d), 0o755); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := os.MkdirAll(filepath.Join(sessDir, "s000042.events"), 0o755); err != nil {
 		t.Fatal(err)
@@ -997,13 +1003,108 @@ func TestRestoreQuarantineAndOrphanSweep(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(sessDir, "s000007.json.corrupt")); err != nil {
 		t.Fatalf("corrupt record not quarantined: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(sessDir, "s000007.events")); err != nil {
-		t.Fatalf("quarantined session's log swept: %v", err)
+	for _, d := range []string{"s000007.events", "s000009.events"} {
+		if _, err := os.Stat(filepath.Join(sessDir, d)); err != nil {
+			t.Fatalf("quarantined session's log swept: %v", err)
+		}
 	}
 	if _, err := os.Stat(filepath.Join(sessDir, "s000042.events")); !os.IsNotExist(err) {
 		t.Fatalf("orphan log dir not swept: %v", err)
 	}
 	if got := srv.sessions.count(); got != 0 {
 		t.Fatalf("restored %d sessions from garbage", got)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if cr := createSession(t, ts.URL, sessionSpec); cr.ID != "s000010" {
+		t.Fatalf("new session id %s, want s000010 past the kept logs", cr.ID)
+	}
+}
+
+// TestRestoreSkippedSessionKeepsID: a session record that no longer
+// validates (here its clock was redefined, so the fingerprint is foreign)
+// is skipped at restore with its record and event log left on disk. Its ID
+// must stay taken — neither the local s%06d scheme nor a router assignment
+// may reuse it — so the kept files stay byte-identical, and restoring the
+// old definition brings the session back as it was.
+func TestRestoreSkippedSessionKeepsID(t *testing.T) {
+	dir := t.TempDir()
+	const gSpec = `{"spec":{"edges":[{"from":"X0","to":"X1","constraints":[{"min":0,"max":2,"gran":"g"}]}],"assign":{"X0":"a","X1":"b"}}}`
+	start := func(def string) (*Server, *httptest.Server) {
+		srv, err := New(Config{DataDir: dir, Internal: true, Defines: []string{"g=" + def}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv, httptest.NewServer(srv.Handler())
+	}
+	t0 := event.At(1996, 7, 1, 9, 0, 0)
+	feed := func(url, id string) {
+		t.Helper()
+		resp := post(t, url+"/v1/tag/sessions/"+id+"/events", eventsBody(
+			EventItem{Time: t0, Type: "a"}, EventItem{Time: t0 + 60, Type: "x"}, EventItem{Time: t0 + 120, Type: "x"}))
+		if body := readBody(t, resp); resp.StatusCode != http.StatusOK {
+			t.Fatalf("feed %s status %d: %s", id, resp.StatusCode, body)
+		}
+	}
+
+	srv1, ts1 := start("group(hour, 2)")
+	old := createSession(t, ts1.URL, gSpec)
+	feed(ts1.URL, old.ID)
+	oldView := readBody(t, get(t, ts1.URL+"/v1/tag/sessions/"+old.ID))
+	// Crash: the record still covers 0 events, the log holds all 3.
+	ts1.Close()
+	srv1.jobs.shutdown()
+	sessDir := filepath.Join(dir, "sessions")
+	snapshot := func() map[string]string {
+		files := map[string]string{}
+		for _, root := range []string{old.ID + ".json", old.ID + ".events"} {
+			err := filepath.Walk(filepath.Join(sessDir, root), func(p string, info os.FileInfo, err error) error {
+				if err == nil && !info.IsDir() {
+					files[p] = string(mustReadFile(t, p))
+				}
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return files
+	}
+	before := snapshot()
+
+	srv2, ts2 := start("group(hour, 3)")
+	if got := srv2.sessions.count(); got != 0 {
+		t.Fatalf("restored %d session(s) under a foreign fingerprint", got)
+	}
+	fresh := createSession(t, ts2.URL, sessionSpec)
+	if fresh.ID == old.ID {
+		t.Fatalf("new session reused the skipped session's id %s", old.ID)
+	}
+	feed(ts2.URL, fresh.ID)
+	resp := postJSON(t, ts2.URL+"/v1/tag/sessions", json.RawMessage(sessionSpec),
+		map[string]string{AssignIDHeader: old.ID})
+	if body := readBody(t, resp); resp.StatusCode != http.StatusUnprocessableEntity || !bytes.Contains(body, []byte("already exists")) {
+		t.Fatalf("assigned create over a skipped record: status %d: %s", resp.StatusCode, body)
+	}
+	ts2.Close()
+	srv2.jobs.shutdown()
+	after := snapshot()
+	if len(after) != len(before) {
+		t.Fatalf("skipped session's files changed: %d before, %d after", len(before), len(after))
+	}
+	for p, b := range before {
+		if after[p] != b {
+			t.Fatalf("skipped session's %s changed", p)
+		}
+	}
+
+	srv3, ts3 := start("group(hour, 2)")
+	defer srv3.jobs.shutdown()
+	defer ts3.Close()
+	if got := srv3.sessions.count(); got != 2 {
+		t.Fatalf("restored %d session(s), want 2", got)
+	}
+	if view := readBody(t, get(t, ts3.URL+"/v1/tag/sessions/"+old.ID)); !bytes.Equal(view, oldView) {
+		t.Fatalf("skipped session differs once its definition is back:\nbefore:\n%s\nafter:\n%s", oldView, view)
 	}
 }

@@ -151,10 +151,13 @@ func (st *sessionStore) runOptions(strict bool, maxFrontier int, budget int64) t
 // create compiles the complex type and opens a new session, persisting its
 // initial record before returning the ID. A non-empty assignID (a router
 // placing the session on its hash ring) overrides the local s%06d scheme;
-// it must be unused.
+// it must be unused, live or on disk.
 func (st *sessionStore) create(req *SessionCreateRequest, ct *core.ComplexType, assignID string) (*session, error) {
 	if err := validAssignedID(assignID); err != nil {
 		return nil, err
+	}
+	if assignID != "" && st.onDisk(assignID) {
+		return nil, fmt.Errorf("server: session %q already exists", assignID)
 	}
 	auto, err := tag.Compile(ct)
 	if err != nil {
@@ -364,6 +367,29 @@ func (st *sessionStore) path(id string) string {
 	return filepath.Join(st.dir, id+".json")
 }
 
+// onDisk reports whether a record or event log for id is on disk. A
+// session a restart did not restore keeps both, so its ID stays taken: a
+// new session under it would overwrite the record and reopen the old log,
+// whose events the next restart would replay into the new session.
+func (st *sessionStore) onDisk(id string) bool {
+	for _, p := range []string{st.path(id), st.logDir(id)} {
+		if _, err := os.Stat(p); err == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// reserveID keeps the local s%06d scheme above id, the ID of a record or
+// log that restore left on disk.
+func (st *sessionStore) reserveID(id string) {
+	st.mu.Lock()
+	if n := idNumber(id, "s"); n >= st.nextID {
+		st.nextID = n + 1
+	}
+	st.mu.Unlock()
+}
+
 // persist checkpoints a session's record atomically; callers hold s.mu (or
 // the session is not yet published).
 func (st *sessionStore) persist(s *session) error {
@@ -420,9 +446,10 @@ func (st *sessionStore) checkpointAll() error {
 // replays each session's event-log tail past its last checkpoint. A record
 // that fails to decode is quarantined to <name>.corrupt; one that no
 // longer validates (foreign fingerprint, changed build) is skipped with a
-// log line rather than taking the daemon down, its file left in place for
-// inspection. Event-log directories whose record is gone (a close or
-// failed create that crashed between the two deletes) are swept away.
+// log line rather than taking the daemon down, its file and log left in
+// place for inspection and its ID kept out of reuse. Event-log directories
+// whose record is gone (a close or failed create that crashed between the
+// two deletes) are swept away.
 // It reports the aggregate log recovery, how many sessions came back, and
 // how many events were replayed from logs.
 func (st *sessionStore) restore(logger *log.Logger) (agg store.Recovery, restored int, replayed int64, err error) {
@@ -446,6 +473,7 @@ func (st *sessionStore) restore(logger *log.Logger) (agg store.Recovery, restore
 		replayed += n
 		if rerr != nil {
 			logger.Printf("session record %s not restored: %v", name, rerr)
+			st.reserveID(strings.TrimSuffix(name, ".json"))
 			continue
 		}
 		restored++
@@ -457,6 +485,7 @@ func (st *sessionStore) restore(logger *log.Logger) (agg store.Recovery, restore
 		}
 		// Keep the log when its record was quarantined — it is evidence.
 		if _, serr := os.Stat(st.path(id) + ".corrupt"); serr == nil {
+			st.reserveID(id)
 			continue
 		}
 		os.RemoveAll(filepath.Join(st.dir, d))

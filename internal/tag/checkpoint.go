@@ -16,11 +16,13 @@ import (
 const CheckpointVersion = 1
 
 // ExecSchemaVersion identifies the execution-state schema this build writes
-// and reads: the meaning of the frontier encoding plus the
-// conversion-table layout the fingerprint digests. It is deliberately
+// and reads: the meaning of the frontier encoding. It is deliberately
 // independent of engine.ExecMode — compiled and interpreted runners share
 // one schema, which is what makes cross-mode restores legal — and bumps
-// only when the encoded execution state itself changes meaning.
+// only when the encoded execution state itself changes meaning. A change
+// of conversion-table layout is not a schema change: the fingerprint
+// digests each clock's table signature (or "none"), so it refuses only
+// checkpoints over the clocks whose layout moved.
 const ExecSchemaVersion = 1
 
 // SchemaMismatchError reports a checkpoint whose execution-state schema

@@ -224,6 +224,38 @@ func TestRestoreRefusesMismatch(t *testing.T) {
 	}
 }
 
+// TestFingerprintGolden pins cross-build checkpoint compatibility: the
+// Fig-1a TAG's fingerprint under the default system, and the table
+// signatures fingerprints digest, equal the values earlier builds wrote, so
+// checkpoints they took over these clocks still restore. Any change here
+// refuses every persisted session over the clock granularities involved.
+func TestFingerprintGolden(t *testing.T) {
+	def := granularity.Default()
+	ct, _ := core.NewComplexType(core.Fig1a(), core.Example1Assignment())
+	a, err := Compile(ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantFP = "975ea8ba74640b51ca76e8500072be0b7b8d416293ecb00d7103a22ddf172771"
+	if got := a.Fingerprint(def); got != wantFP {
+		t.Errorf("Fig-1a fingerprint = %s, want %s", got, wantFP)
+	}
+	for name, want := range map[string]string{
+		"hour":    "f2789260e8a3d5035f0c9360",
+		"b-day":   "d4daedb48cfc45c9403090f9",
+		"week":    "b56f21ab58120572d5fb7044",
+		"month":   "6dda513f7b290411bc408fd0",
+		"f-month": "537f2a5ef65e5423c0fc62e4",
+	} {
+		tb := def.Table(name)
+		if tb == nil {
+			t.Errorf("%s: no periodic table", name)
+		} else if got := tb.Signature(); got != want {
+			t.Errorf("%s: table signature = %s, want %s", name, got, want)
+		}
+	}
+}
+
 // TestCheckpointDegradedSurvives: the degraded flag and reject counters
 // survive a snapshot/restore round trip.
 func TestCheckpointDegradedSurvives(t *testing.T) {

@@ -37,13 +37,13 @@
 #                                        # stride)
 #   sh scripts/bench_compare.sh pr9-smoke# short pr9 run; gates only the
 #                                        # migration no-rescan property
-#   sh scripts/bench_compare.sh pr10     # calendar-zoo tick resolution
-#                                        # (zoned / fiscal / trading families
-#                                        # through the conversion tables vs
-#                                        # direct calendar arithmetic); writes
+#   sh scripts/bench_compare.sh pr10     # calendar-zoo tick resolution at
+#                                        # 2026 (zoned / fiscal / trading
+#                                        # families through System.Ticker;
+#                                        # fiscal months also on direct
+#                                        # calendar arithmetic); writes
 #                                        # BENCH_PR10.json and gates the
-#                                        # in-bound table lookups at
-#                                        # allocs/op == 0
+#                                        # Ticker lookups at allocs/op == 0
 #   sh scripts/bench_compare.sh pr10-smoke# short pr10 run, same alloc gate
 #
 # The baseline lives at scripts/bench_baseline_pr3.json and is only
@@ -83,16 +83,14 @@ if [ "$MODE" = pr10 ] || [ "$MODE" = pr10-smoke ]; then
 		for (i = 0; i < n; i++) v[names[i]] = ns[i]
 		if (("BenchmarkFiscalMonthTickDirect" in v) && v["BenchmarkFiscalMonthTickTable"] > 0)
 			printf ",\n  \"fiscal_tick_speedup\": %.3f", v["BenchmarkFiscalMonthTickDirect"] / v["BenchmarkFiscalMonthTickTable"]
-		if (("BenchmarkSessionTickDirect" in v) && v["BenchmarkSessionTickTable"] > 0)
-			printf ",\n  \"session_tick_speedup\": %.3f", v["BenchmarkSessionTickDirect"] / v["BenchmarkSessionTickTable"]
 		printf "\n}\n"
 	}' "$RAW" > "$OUT"
 	echo ">> wrote $OUT"
 	cat "$OUT"
 
-	# Alloc gate (both modes): every in-bound table lookup must be pure
-	# flat-array arithmetic — zero allocations per op. The *Direct twins are
-	# informational (they measure the calendar arithmetic being replaced).
+	# Alloc gate (both modes): every System.Ticker lookup must be
+	# alloc-free — zero allocations per op. BenchmarkFiscalMonthTickDirect
+	# is informational (it measures f-month's own TickOf).
 	awk '
 	$1 ~ /^Benchmark.*TickTable/ && $8 == "allocs/op" {
 		found++

@@ -17,6 +17,8 @@ if [ -n "$fmt" ]; then
 fi
 echo '>> go test -race -shuffle=on ./...'
 go test -race -shuffle=on ./...
+echo '>> tempobench (separate module: go vet + go test)'
+(cd tempobench && go vet . && go test .)
 echo '>> oracle smoke (differential contracts over 200 seeds)'
 go run ./cmd/tempofuzz -seeds "${ORACLE_SEEDS:-200}" -repro-dir "${TMPDIR:-/tmp}/oracle-smoke-repros"
 echo '>> exec-equiv oracle smoke (compiled vs interpreted core over 300 seeds)'
