@@ -1,46 +1,26 @@
-// PR-6 benchmarks: the compiled TAG execution core against the
-// interpreter it replaced, and the periodic-set conversion tables against
-// the direct calendar arithmetic they shortcut. scripts/bench_compare.sh
-// pr6 runs these, writes BENCH_PR6.json and gates the speedups.
+// PR-6 benchmarks: the TAG execution core's step cost, and the
+// periodic-set conversion tables against the direct calendar arithmetic
+// they shortcut. scripts/bench_compare.sh pr6 runs these, writes
+// BENCH_PR6.json and gates the step ceiling, the step allocations and the
+// cover speedups.
 package tempo
 
 import (
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/event"
 	"repro/internal/granularity"
 	"repro/internal/tag"
 )
-
-// benchStepOptions pins the anchored batch to one execution core.
-func benchStepOptions(mode engine.ExecMode) tag.RunOptions {
-	return tag.RunOptions{Engine: engine.Config{Mode: mode}}
-}
 
 // BenchmarkTAGStepSerialCompiled: the anchored frequency count of the plant
 // workload on one goroutine, stepped by the compiled flat-array program.
 func BenchmarkTAGStepSerialCompiled(b *testing.B) {
 	b.ReportAllocs()
 	a, seq, refIdx := benchTAGBatchSetup(b)
-	opt := benchStepOptions(engine.ExecCompiled)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.AcceptsBatch(nil, benchSys, seq, refIdx, 0, 1, opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTAGStepSerialInterp: the same batch on the interpreted walker,
-// the PR-6 baseline the compiled core is gated against.
-func BenchmarkTAGStepSerialInterp(b *testing.B) {
-	b.ReportAllocs()
-	a, seq, refIdx := benchTAGBatchSetup(b)
-	opt := benchStepOptions(engine.ExecInterp)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := a.AcceptsBatch(nil, benchSys, seq, refIdx, 0, 1, opt); err != nil {
+		if _, err := a.AcceptsBatch(nil, benchSys, seq, refIdx, 0, 1, tag.RunOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -43,9 +43,6 @@ func main() {
 }
 
 func run(w io.Writer, id string, quick, list, md bool, ef *cli.EngineFlags) error {
-	if err := ef.Validate(); err != nil {
-		return err
-	}
 	eng := ef.Config()
 	defer ef.Finish(w)
 	render := func(tab experiments.Table) {

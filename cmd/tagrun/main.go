@@ -68,9 +68,6 @@ func main() {
 }
 
 func run(out io.Writer, specPath, seqPath, anchor, gransFlag string, defines []string, dotPath, cpPath string, printTAG, strict, jsonOut bool, workers int, ef *cli.EngineFlags) error {
-	if err := ef.Validate(); err != nil {
-		return err
-	}
 	eng := ef.Config()
 	defer ef.Finish(out)
 	sys, err := cli.LoadSystem(gransFlag, defines)

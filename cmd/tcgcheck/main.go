@@ -53,9 +53,6 @@ func main() {
 }
 
 func run(out io.Writer, specPath, gransFlag string, defines []string, dotPath string, runExact bool, fromYear, toYear int, jsonOut bool, ef *cli.EngineFlags) error {
-	if err := ef.Validate(); err != nil {
-		return err
-	}
 	eng := ef.Config()
 	defer ef.Finish(out)
 	sys, err := cli.LoadSystem(gransFlag, defines)

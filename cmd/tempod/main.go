@@ -53,7 +53,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/cluster"
-	"repro/internal/engine"
 	"repro/internal/server"
 )
 
@@ -71,7 +70,6 @@ func main() {
 	jobQueue := flag.Int("job-queue", 64, "max queued mining jobs (beyond: 429)")
 	maxSessions := flag.Int("max-sessions", 1024, "max live streaming sessions")
 	scanWorkers := flag.Int("workers", 0, "default TAG scan fan-out per mining job (0 = GOMAXPROCS)")
-	execMode := flag.String("exec", "compiled", "TAG execution core for sessions and jobs: 'compiled' or 'interp'")
 	ckptEvery := flag.Int("checkpoint-every", 8, "rewrite a session's checkpoint every Nth fed event (the event log covers the gap)")
 	eventLog := flag.Bool("event-log", true, "keep durable per-session and per-job event logs under the state directory")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long a drain may wait for in-flight work")
@@ -89,7 +87,7 @@ func main() {
 	var err error
 	switch *role {
 	case "standalone", "worker":
-		err = run(os.Stdout, *role == "worker", *addr, *data, *gransFlag, defines, *execMode, *inflight, *queue,
+		err = run(os.Stdout, *role == "worker", *addr, *data, *gransFlag, defines, *inflight, *queue,
 			*jobWorkers, *jobQueue, *maxSessions, *scanWorkers, *ckptEvery, *eventLog, *drainTimeout)
 	case "router":
 		err = runRouter(os.Stdout, *addr, *peers, *quotasFlag, *stealEvery, *shutdownWorkers, *drainTimeout)
@@ -102,14 +100,10 @@ func main() {
 	}
 }
 
-func run(out io.Writer, workerMode bool, addr, data, gransFlag string, defines []string, execMode string, inflight, queue, jobWorkers, jobQueue,
+func run(out io.Writer, workerMode bool, addr, data, gransFlag string, defines []string, inflight, queue, jobWorkers, jobQueue,
 	maxSessions, scanWorkers, ckptEvery int, eventLog bool, drainTimeout time.Duration) error {
 	if data == "" {
 		return fmt.Errorf("-data is required")
-	}
-	mode, err := engine.ParseExecMode(execMode)
-	if err != nil {
-		return err
 	}
 	// A worker's router can ask the process to exit over HTTP (the tail of
 	// a cluster-wide drain); that request lands on the same graceful path
@@ -127,7 +121,6 @@ func run(out io.Writer, workerMode bool, addr, data, gransFlag string, defines [
 		ScanWorkers:     scanWorkers,
 		CheckpointEvery: ckptEvery,
 		NoEventLog:      !eventLog,
-		Exec:            mode,
 	}
 	if workerMode {
 		cfg.Internal = true

@@ -6,14 +6,16 @@
 // Usage:
 //
 //	tempofuzz [-seeds 500] [-seed-start 1] [-duration 30s] [-workers N]
-//	          [-repro-dir testdata/oracle] [-profile cpu.out] [-v]
+//	          [-contracts tag,mining] [-repro-dir testdata/oracle]
+//	          [-profile cpu.out] [-v]
 //
 // Seeds run in parallel. On the first contract violation the instance is
 // greedily shrunk, persisted as a JSON repro file under -repro-dir, and
 // tempofuzz exits 1 with the violation and the repro path; a clean run
 // prints per-contract statistics and exits 0. -duration 0 runs exactly
 // -seeds seeds; a positive -duration keeps consuming seeds (from
-// -seed-start upward, ignoring -seeds) until the clock runs out.
+// -seed-start upward, ignoring -seeds) until the clock runs out. An
+// unknown -contracts name exits 2 with the list of known contracts.
 package main
 
 import (
@@ -23,6 +25,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -43,7 +46,7 @@ func main() {
 	flag.StringVar(&opt.profile, "profile", "", "write a CPU profile to this file")
 	flag.BoolVar(&opt.verbose, "v", false, "log every seed")
 	flag.IntVar(&opt.shrinkChecks, "shrink-checks", 400, "contract evaluations the shrinker may spend")
-	contracts := flag.String("contracts", "", "comma-separated contract names to check (default: all); e.g. -contracts exec-equiv")
+	contracts := flag.String("contracts", "", "comma-separated contract names to check (default: all); e.g. -contracts tag,mining")
 	version := cli.RegisterVersionFlag(flag.CommandLine)
 	flag.Parse()
 	if *version {
@@ -51,13 +54,12 @@ func main() {
 		return
 	}
 	opt.knobs = oracle.DefaultKnobs()
-	if *contracts != "" {
-		for _, c := range strings.Split(*contracts, ",") {
-			if c = strings.TrimSpace(c); c != "" {
-				opt.knobs.Only = append(opt.knobs.Only, c)
-			}
-		}
+	only, err := parseContracts(*contracts)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tempofuzz:", err)
+		os.Exit(2)
 	}
+	opt.knobs.Only = only
 
 	if opt.profile != "" {
 		f, err := os.Create(opt.profile)
@@ -81,6 +83,24 @@ func main() {
 	if rep != nil {
 		os.Exit(1)
 	}
+}
+
+// parseContracts splits the -contracts list. An unknown name is an error
+// that lists the known contracts, so a stale name cannot select nothing
+// and pass as a clean run.
+func parseContracts(list string) ([]string, error) {
+	known := oracle.ContractNames()
+	var only []string
+	for _, c := range strings.Split(list, ",") {
+		if c = strings.TrimSpace(c); c == "" {
+			continue
+		}
+		if !slices.Contains(known, c) {
+			return nil, fmt.Errorf("unknown contract %q (known: %s)", c, strings.Join(known, ", "))
+		}
+		only = append(only, c)
+	}
+	return only, nil
 }
 
 // options configures one fuzzing campaign.

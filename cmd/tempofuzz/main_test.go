@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -100,5 +102,33 @@ func TestFuzzDurationMode(t *testing.T) {
 	}
 	if rep != nil {
 		t.Fatalf("clean tree reported a violation in duration mode: %s", rep.Contract)
+	}
+}
+
+// TestUnknownContractExits2: a -contracts list naming an unknown contract
+// (a typo, or one since deleted) exits 2 and lists the known contracts
+// instead of selecting nothing and reporting a clean run.
+func TestUnknownContractExits2(t *testing.T) {
+	if only, err := parseContracts(" tag, mining ,"); err != nil || len(only) != 2 {
+		t.Fatalf("parseContracts(tag,mining) = %v, %v", only, err)
+	}
+	bin := filepath.Join(t.TempDir(), "tempofuzz")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, list := range []string{"no-such-contract", "tag,retired-contract"} {
+		cmd := exec.Command(bin, "-seeds", "20", "-contracts", list, "-repro-dir", t.TempDir())
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Fatalf("-contracts %s: exit %v, want status 2", list, err)
+		}
+		for _, c := range oracle.ContractNames() {
+			if !strings.Contains(stderr.String(), c) {
+				t.Fatalf("-contracts %s: stderr does not list %q:\n%s", list, c, stderr.String())
+			}
+		}
 	}
 }

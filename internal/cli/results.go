@@ -372,11 +372,11 @@ type MineResult struct {
 }
 
 // BuildMineResult converts a finished mine into the shared result. explain
-// > 0 attaches up to that many witness occurrences per discovery, extracted
-// on the TAG execution core selected by mode (pass the mine's own
-// opt.Engine.Mode so -exec governs the witness runs too).
+// > 0 attaches up to that many witness occurrences per discovery. The last
+// parameter is ignored: it remains only because the separate tempobench
+// module passes engine.ExecCompiled; drop it once that call site does.
 func BuildMineResult(sys *granularity.System, p mining.Problem, seq event.Sequence,
-	ds []mining.Discovery, stats mining.Stats, tau float64, explain int, mode engine.ExecMode) (*MineResult, error) {
+	ds []mining.Discovery, stats mining.Stats, tau float64, explain int, _ engine.ExecMode) (*MineResult, error) {
 	res := &MineResult{
 		Tau: tau,
 		Stats: &MineStats{
@@ -401,7 +401,7 @@ func BuildMineResult(sys *granularity.System, p mining.Problem, seq event.Sequen
 			dr.Assign = append(dr.Assign, VarValue{Var: v, Value: string(d.Assign[core.Variable(v)])})
 		}
 		if explain > 0 {
-			ws, err := mining.ExplainMode(sys, p, seq, d, explain, mode)
+			ws, err := mining.Explain(sys, p, seq, d, explain)
 			if err != nil {
 				return nil, err
 			}

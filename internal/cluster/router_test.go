@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/cli"
-	"repro/internal/engine"
 	"repro/internal/event"
 	"repro/internal/mining"
 	"repro/internal/server"
@@ -320,7 +319,6 @@ func TestClusterSessionJobPinnedAndMigrated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Engine = engine.Config{Mode: engine.ExecCompiled}
 	ds, _, err := mining.Optimized(sys, p, seq, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -114,7 +114,10 @@ func DecodeBinary(r io.Reader) (Sequence, error) {
 	if eventCount > maxEvents {
 		return nil, fmt.Errorf("event: implausible event count %d", eventCount)
 	}
-	s := make(Sequence, 0, eventCount)
+	// The count is untrusted: preallocate at most 64Ki events and let
+	// append grow with the events actually read, so a short input cannot
+	// claim gigabytes.
+	s := make(Sequence, 0, min(eventCount, 1<<16))
 	prev := int64(0)
 	for i := uint64(0); i < eventCount; i++ {
 		ti, err := binary.ReadUvarint(br)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/event"
 	"repro/internal/granularity"
 	"repro/internal/tag"
@@ -109,12 +108,6 @@ type Witness struct {
 // complex event type in the sequence, one per matching reference occurrence
 // in order: the evidence behind a Discovery's frequency.
 func Explain(sys *granularity.System, p Problem, seq event.Sequence, d Discovery, maxWitnesses int) ([]Witness, error) {
-	return ExplainMode(sys, p, seq, d, maxWitnesses, engine.ExecCompiled)
-}
-
-// ExplainMode is Explain with the TAG execution core pinned to mode, so a
-// mine run under -exec=interp extracts its witnesses on the same core.
-func ExplainMode(sys *granularity.System, p Problem, seq event.Sequence, d Discovery, maxWitnesses int, mode engine.ExecMode) ([]Witness, error) {
 	if maxWitnesses < 1 {
 		return nil, fmt.Errorf("mining: maxWitnesses must be positive")
 	}
@@ -140,7 +133,7 @@ func ExplainMode(sys *granularity.System, p Problem, seq event.Sequence, d Disco
 			continue
 		}
 		sub := seq[i:]
-		w, ok, _ := a.FindOccurrence(sys, sub, tag.RunOptions{Anchored: true, Engine: engine.Config{Mode: mode}})
+		w, ok, _ := a.FindOccurrence(sys, sub, tag.RunOptions{Anchored: true})
 		if !ok {
 			continue
 		}

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/event"
 	"repro/internal/granularity"
 	"repro/internal/propagate"
@@ -41,10 +40,9 @@ import (
 // discoveries and Stats as Optimized on that prefix, except Stats.TagRuns
 // (the whole point is running fewer automata).
 type Incremental struct {
-	sys  *granularity.System
-	p    Problem
-	opt  PipelineOptions
-	mode engine.ExecMode
+	sys *granularity.System
+	p   Problem
+	opt PipelineOptions
 
 	root core.Variable
 	rest []core.Variable
@@ -212,7 +210,6 @@ func NewIncremental(sys *granularity.System, p Problem, opt PipelineOptions) (*I
 		sys:        sys,
 		p:          p,
 		opt:        opt,
-		mode:       opt.Engine.Mode,
 		root:       root,
 		rest:       rest,
 		winLo:      make(map[core.Variable]int64, len(rest)),
@@ -699,7 +696,7 @@ func (inc *Incremental) flushRef(r *incRef) error {
 	if inc.scanWindow > 0 {
 		sub = sub.Between(r.t0, r.t0+inc.scanWindow)
 	}
-	ropt := tag.RunOptions{Anchored: true, Engine: engine.Config{Mode: inc.mode}}
+	ropt := tag.RunOptions{Anchored: true}
 	for ci, c := range inc.cands {
 		if c.rootType != r.typ || r.matched[ci] {
 			continue

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/event"
 )
 
@@ -55,62 +54,58 @@ func diffIncremental(ids []Discovery, ist Stats, ierr error, bds []Discovery, bs
 // TestIncrementalPrefixEquivalence is the core property: for seeds 0..20,
 // EVERY prefix of the generated stream yields byte-identical discoveries and
 // stats from the incremental miner and a from-scratch Optimized run, across
-// batch worker counts {1, 2, 8} and both execution cores. Periodically the
-// miner is also checkpointed, restored and swapped in, so the consolidation
-// protocol is inside the property too.
+// batch worker counts {1, 2, 8}. Periodically the miner is also
+// checkpointed, restored and swapped in, so the consolidation protocol is
+// inside the property too.
 func TestIncrementalPrefixEquivalence(t *testing.T) {
 	for seed := int64(0); seed <= 20; seed++ {
 		seq := plantWorkload(seed, 6, 0.6)
 		p := incrementalProblem(seed)
-		for _, mode := range []engine.ExecMode{engine.ExecCompiled, engine.ExecInterp} {
-			opt := PipelineOptions{Engine: engine.Config{Mode: mode}}
-			inc, err := NewIncremental(sys, p, opt)
-			if err != nil {
-				t.Fatalf("seed %d mode %v: NewIncremental: %v", seed, mode, err)
+		opt := PipelineOptions{}
+		inc, err := NewIncremental(sys, p, opt)
+		if err != nil {
+			t.Fatalf("seed %d: NewIncremental: %v", seed, err)
+		}
+		for i, e := range seq {
+			if err := inc.Append(e); err != nil {
+				t.Fatalf("seed %d: append %d: %v", seed, i, err)
 			}
-			for i, e := range seq {
-				if err := inc.Append(e); err != nil {
-					t.Fatalf("seed %d mode %v: append %d: %v", seed, mode, i, err)
+			ids, ist, ierr := inc.Snapshot()
+			for _, workers := range []int{1, 2, 8} {
+				bds, bst, berr := Optimized(sys, p, seq[:i+1], PipelineOptions{Workers: workers})
+				if d := diffIncremental(ids, ist, ierr, bds, bst, berr); d != "" {
+					t.Fatalf("seed %d prefix %d workers %d: %s", seed, i+1, workers, d)
 				}
-				ids, ist, ierr := inc.Snapshot()
-				for _, workers := range []int{1, 2, 8} {
-					bds, bst, berr := Optimized(sys, p, seq[:i+1], PipelineOptions{
-						Workers: workers, Engine: engine.Config{Mode: mode},
-					})
-					if d := diffIncremental(ids, ist, ierr, bds, bst, berr); d != "" {
-						t.Fatalf("seed %d mode %v prefix %d workers %d: %s", seed, mode, i+1, workers, d)
+			}
+			// Consolidate, restore through the wire format, replay the
+			// retained frontier and continue on the restored miner.
+			if i%7 == 3 {
+				cp, err := inc.Checkpoint()
+				if err != nil {
+					t.Fatalf("seed %d prefix %d: checkpoint: %v", seed, i+1, err)
+				}
+				var buf bytes.Buffer
+				if err := cp.Encode(&buf); err != nil {
+					t.Fatal(err)
+				}
+				cp2, err := DecodeCheckpoint(&buf)
+				if err != nil {
+					t.Fatalf("seed %d prefix %d: decode: %v", seed, i+1, err)
+				}
+				inc2, err := RestoreIncremental(sys, p, opt, cp2, int64(i+1))
+				if err != nil {
+					t.Fatalf("seed %d prefix %d: restore: %v", seed, i+1, err)
+				}
+				for j := cp2.Incremental.ReplayFrom; j <= int64(i); j++ {
+					if err := inc2.Append(seq[j]); err != nil {
+						t.Fatalf("seed %d prefix %d: replay %d: %v", seed, i+1, j, err)
 					}
 				}
-				// Consolidate, restore through the wire format, replay the
-				// retained frontier and continue on the restored miner.
-				if i%7 == 3 {
-					cp, err := inc.Checkpoint()
-					if err != nil {
-						t.Fatalf("seed %d mode %v prefix %d: checkpoint: %v", seed, mode, i+1, err)
-					}
-					var buf bytes.Buffer
-					if err := cp.Encode(&buf); err != nil {
-						t.Fatal(err)
-					}
-					cp2, err := DecodeCheckpoint(&buf)
-					if err != nil {
-						t.Fatalf("seed %d mode %v prefix %d: decode: %v", seed, mode, i+1, err)
-					}
-					inc2, err := RestoreIncremental(sys, p, opt, cp2, int64(i+1))
-					if err != nil {
-						t.Fatalf("seed %d mode %v prefix %d: restore: %v", seed, mode, i+1, err)
-					}
-					for j := cp2.Incremental.ReplayFrom; j <= int64(i); j++ {
-						if err := inc2.Append(seq[j]); err != nil {
-							t.Fatalf("seed %d mode %v prefix %d: replay %d: %v", seed, mode, i+1, j, err)
-						}
-					}
-					rds, rst, rerr := inc2.Snapshot()
-					if d := diffIncremental(rds, rst, rerr, ids, ist, ierr); d != "" {
-						t.Fatalf("seed %d mode %v prefix %d: restored vs live: %s", seed, mode, i+1, d)
-					}
-					inc = inc2
+				rds, rst, rerr := inc2.Snapshot()
+				if d := diffIncremental(rds, rst, rerr, ids, ist, ierr); d != "" {
+					t.Fatalf("seed %d prefix %d: restored vs live: %s", seed, i+1, d)
 				}
+				inc = inc2
 			}
 		}
 	}

@@ -166,7 +166,7 @@ func enumerate(rest []core.Variable, pools map[core.Variable][]event.Type, yield
 // many extend to an occurrence. window limits how far past the reference
 // the scan looks (0 = to the end of the sequence).
 func countMatches(sys *granularity.System, a *tag.TAG, seq event.Sequence, refIdx []int, window int64, runs *int) int {
-	n, _, _ := countMatchesExec(nil, sys, a, seq, refIdx, window, runs, engine.ExecCompiled)
+	n, _, _ := countMatchesExec(nil, sys, a, seq, refIdx, window, runs)
 	return n
 }
 
@@ -175,9 +175,8 @@ func countMatches(sys *granularity.System, a *tag.TAG, seq event.Sequence, refId
 // with the matches tallied so far. refsDone reports how many leading
 // references were fully counted (an interrupted reference is NOT counted),
 // so checkpoint/resume can continue the tally at refIdx[refsDone:].
-// mode selects the TAG execution core for every run.
-func countMatchesExec(ex *engine.Exec, sys *granularity.System, a *tag.TAG, seq event.Sequence, refIdx []int, window int64, runs *int, mode engine.ExecMode) (matches, refsDone int, err error) {
-	opt := tag.RunOptions{Anchored: true, Engine: engine.Config{Mode: mode}}
+func countMatchesExec(ex *engine.Exec, sys *granularity.System, a *tag.TAG, seq event.Sequence, refIdx []int, window int64, runs *int) (matches, refsDone int, err error) {
+	opt := tag.RunOptions{Anchored: true}
 	for _, i := range refIdx {
 		sub := seq[i:]
 		if window > 0 {

@@ -384,7 +384,7 @@ func optimizedExec(ex *engine.Exec, sys *granularity.System, p Problem, seq even
 		}
 		refs := refByType[j.rootType]
 		a := baseTAG.Relabel(j.full)
-		m, rd, err := countMatchesExec(ex, sys, a, work, refs[j.refsDone:], scanWindow, &results[i].tagRuns, opt.Engine.Mode)
+		m, rd, err := countMatchesExec(ex, sys, a, work, refs[j.refsDone:], scanWindow, &results[i].tagRuns)
 		results[i].matches = j.matches + m
 		results[i].refsDone = j.refsDone + rd
 		results[i].tagRuns += j.tagRuns

@@ -168,3 +168,49 @@ func bruteAnchoredOccurs(sys *granularity.System, ct *core.ComplexType, seq even
 	}
 	return rec(0)
 }
+
+// bruteOccurrences calls emit once per occurrence of the complex type in
+// seq: every injective binding of vars to event indexes of the assigned
+// types whose timestamps satisfy every TCG. emit receives the bound
+// indexes in vars order, in a slice reused between calls. It is the
+// ground truth for the event a TAG run accepts on and the witness it
+// reports.
+func bruteOccurrences(sys *granularity.System, ct *core.ComplexType, vars []core.Variable, seq event.Sequence, emit func(idx []int)) {
+	s := ct.Structure
+	idx := make([]int, len(vars))
+	used := make([]bool, len(seq))
+	fits := func(k, i int) bool {
+		v := vars[k]
+		for j, u := range vars[:k] {
+			tu, t := seq[idx[j]].Time, seq[i].Time
+			for _, c := range s.Constraints(u, v) {
+				if !c.Satisfied(sys, tu, t) {
+					return false
+				}
+			}
+			for _, c := range s.Constraints(v, u) {
+				if !c.Satisfied(sys, t, tu) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	var rec func(k int)
+	rec = func(k int) {
+		if k == len(vars) {
+			emit(idx)
+			return
+		}
+		for i, e := range seq {
+			if used[i] || e.Type != ct.Assign[vars[k]] || !fits(k, i) {
+				continue
+			}
+			idx[k] = i
+			used[i] = true
+			rec(k + 1)
+			used[i] = false
+		}
+	}
+	rec(0)
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -90,7 +91,6 @@ func CheckInstance(in *Instance, k Knobs, h Hooks) ([]Violation, CheckStats, err
 	gate(ContractDistinction, func() { checkDistinction(in, sys, &stats, add) })
 	gate(ContractTAG, func() { checkTAG(in, sys, &stats, add) })
 	gate(ContractMining, func() { checkMining(in, k, sys, s, &stats, add) })
-	gate(ContractExecEquiv, func() { checkExecEquiv(in, sys, &stats, add) })
 	gate(ContractStoreReplay, func() { checkStoreReplay(in, sys, &stats, add) })
 	gate(ContractIncrementalEquiv, func() { checkIncrementalEquiv(in, k, sys, s, &stats, add) })
 	gate(ContractClusterRebalance, func() { checkClusterRebalance(in, sys, &stats, add) })
@@ -367,10 +367,13 @@ func checkDistinction(in *Instance, sys *granularity.System, stats *CheckStats, 
 }
 
 // checkTAG asserts Theorem-3 equivalence and execution-mode determinism:
-// batch acceptance equals brute-force occurrence search, the streaming
-// Runner agrees event by event, a mid-stream checkpoint-resume (through
-// the codec) is byte-identical to the uninterrupted run, and anchored
-// batches merge identically at any worker count.
+// batch acceptance equals brute-force occurrence search, the batch run
+// accepts on the event where the earliest brute-force occurrence completes
+// and reports the smallest occurrence completing there as its witness, the
+// streaming Runner accepts on the same event with the same binding and the
+// same tag.* counter totals, a mid-stream checkpoint-resume (through the
+// codec) is byte-identical to the uninterrupted run, and anchored batches
+// merge identically at any worker count.
 func checkTAG(in *Instance, sys *granularity.System, stats *CheckStats, add func(string, string, ...any)) {
 	ct, err := in.ComplexType()
 	if err != nil {
@@ -395,9 +398,45 @@ func checkTAG(in *Instance, sys *granularity.System, stats *CheckStats, add func
 		return
 	}
 
-	// Streaming Runner: same verdict, and an accepted full binding must be
-	// a genuine occurrence.
-	r := a.NewRunner(sys, tag.RunOptions{})
+	// Batch witness search against every brute-force occurrence: the run
+	// accepts on the earliest event at which an occurrence completes, and
+	// its witness is the smallest occurrence completing there.
+	vars := append([]core.Variable(nil), ct.Structure.Variables()...)
+	slices.Sort(vars)
+	var first []int
+	firstAt := -1
+	bruteOccurrences(sys, ct, vars, in.Seq, func(idx []int) {
+		at := slices.Max(idx)
+		if first == nil || at < firstAt || at == firstAt && slices.Compare(idx, first) < 0 {
+			first, firstAt = append(first[:0], idx...), at
+		}
+	})
+	batchCnt := engine.NewCounters()
+	w, ok, rs := a.FindOccurrence(sys, in.Seq, tag.RunOptions{Engine: engine.Config{Observer: batchCnt}})
+	if ok != want || (first != nil) != want {
+		add(ContractTAG, "FindOccurrence=%v and occurrence enumeration found %v, but brute-force occurrence search says %v",
+			ok, first != nil, want)
+		return
+	}
+	if ok {
+		if rs.AcceptedAt != firstAt {
+			add(ContractTAG, "FindOccurrence accepted at event %d, the earliest brute-force occurrence %v completes at %d", rs.AcceptedAt, first, firstAt)
+			return
+		}
+		minimal := make(map[string]int, len(vars))
+		for i, v := range vars {
+			minimal[string(v)] = first[i]
+		}
+		if d := diffBindings(w, minimal); d != "" {
+			add(ContractTAG, "FindOccurrence witness %v is not the smallest occurrence %v completing at event %d (%s)", w, minimal, firstAt, d)
+			return
+		}
+	}
+
+	// Streaming Runner fed the same events: same verdict, accepting event,
+	// binding and tag.* counter totals as the batch run.
+	streamCnt := engine.NewCounters()
+	r := a.NewRunner(sys, tag.RunOptions{Engine: engine.Config{Observer: streamCnt}})
 	for _, e := range in.Seq {
 		if _, ok := r.Feed(e); !ok {
 			add(ContractTAG, "Runner refused event %v: %v", e, r.LastReject())
@@ -408,19 +447,19 @@ func checkTAG(in *Instance, sys *granularity.System, stats *CheckStats, add func
 		add(ContractTAG, "Runner accepted=%v but brute-force occurrence search says %v", r.Accepted(), want)
 		return
 	}
-	if b := r.Binding(); r.Accepted() && len(b) == len(ct.Assign) {
-		binding := core.Binding{}
-		for v, idx := range b {
-			if idx < 0 || idx >= len(in.Seq) {
-				add(ContractTAG, "Runner binding %v indexes outside the sequence", b)
-				return
-			}
-			binding[core.Variable(v)] = in.Seq[idx]
-		}
-		if !ct.IsOccurrence(sys, binding) {
-			add(ContractTAG, "Runner witness binding %v is not an occurrence", b)
+	if want {
+		if r.Steps()-1 != rs.AcceptedAt {
+			add(ContractTAG, "Runner accepted at event %d, the batch run at %d", r.Steps()-1, rs.AcceptedAt)
 			return
 		}
+		if d := diffBindings(r.Binding(), w); d != "" {
+			add(ContractTAG, "Runner binding %v differs from the batch witness %v (%s)", r.Binding(), w, d)
+			return
+		}
+	}
+	if d := diffCounts(streamCnt.Snapshot(), batchCnt.Snapshot()); d != "" {
+		add(ContractTAG, "Runner and batch counter totals differ: %s", d)
+		return
 	}
 	full, err := snapshotBytes(r)
 	if err != nil {
@@ -676,159 +715,6 @@ func diffDiscoveries(a, b []mining.Discovery) string {
 	return ""
 }
 
-// checkExecEquiv is the compiled-vs-interpreted equivalence contract: the
-// two TAG execution cores (engine.ExecCompiled, engine.ExecInterp) must
-// agree byte for byte — verdicts, witness bindings, run stats, counter
-// totals, streaming snapshots, and checkpoints restored across modes. It
-// is the soak gate for retiring the interpreter.
-func checkExecEquiv(in *Instance, sys *granularity.System, stats *CheckStats, add func(string, string, ...any)) {
-	ct, err := in.ComplexType()
-	if err != nil {
-		stats.skip(ContractExecEquiv, "no total complex type: "+err.Error())
-		return
-	}
-	a, err := tag.Compile(ct)
-	if err != nil {
-		stats.skip(ContractExecEquiv, "not compilable: "+err.Error())
-		return
-	}
-	if len(in.Seq) == 0 {
-		stats.skip(ContractExecEquiv, "empty sequence")
-		return
-	}
-	stats.ran(ContractExecEquiv)
-
-	modes := [2]engine.ExecMode{engine.ExecCompiled, engine.ExecInterp}
-	optFor := func(m engine.ExecMode, obs engine.Observer) tag.RunOptions {
-		return tag.RunOptions{Engine: engine.Config{Mode: m, Observer: obs}}
-	}
-
-	// Batch witness search: verdict, binding, stats and counter totals.
-	type batchResult struct {
-		w      map[string]int
-		ok     bool
-		rs     tag.RunStats
-		counts map[string]int64
-	}
-	var batch [2]batchResult
-	for i, m := range modes {
-		cnt := engine.NewCounters()
-		w, ok, rs := a.FindOccurrence(sys, in.Seq, optFor(m, cnt))
-		batch[i] = batchResult{w: w, ok: ok, rs: rs, counts: cnt.Snapshot()}
-	}
-	if batch[0].ok != batch[1].ok {
-		add(ContractExecEquiv, "FindOccurrence: compiled says %v, interpreted says %v", batch[0].ok, batch[1].ok)
-		return
-	}
-	if batch[0].rs != batch[1].rs {
-		add(ContractExecEquiv, "FindOccurrence stats diverge: compiled %+v, interpreted %+v", batch[0].rs, batch[1].rs)
-		return
-	}
-	if d := diffBindings(batch[0].w, batch[1].w); d != "" {
-		add(ContractExecEquiv, "FindOccurrence witness diverges (%s): compiled %v, interpreted %v", d, batch[0].w, batch[1].w)
-		return
-	}
-	if d := diffCounts(batch[0].counts, batch[1].counts); d != "" {
-		add(ContractExecEquiv, "FindOccurrence counter totals diverge: %s", d)
-		return
-	}
-
-	// Streaming runners fed the same events: identical snapshots and
-	// counter totals at the end.
-	var snaps [2][]byte
-	var streamCounts [2]map[string]int64
-	for i, m := range modes {
-		cnt := engine.NewCounters()
-		r := a.NewRunner(sys, optFor(m, cnt))
-		for _, e := range in.Seq {
-			if _, ok := r.Feed(e); !ok {
-				add(ContractExecEquiv, "%s runner refused event: %v", m, r.LastReject())
-				return
-			}
-		}
-		b, err := snapshotBytes(r)
-		if err != nil {
-			add(ContractExecEquiv, "%s runner snapshot: %v", m, err)
-			return
-		}
-		snaps[i] = b
-		streamCounts[i] = cnt.Snapshot()
-	}
-	if !bytes.Equal(snaps[0], snaps[1]) {
-		add(ContractExecEquiv, "final runner snapshots differ between compiled and interpreted")
-		return
-	}
-	if d := diffCounts(streamCounts[0], streamCounts[1]); d != "" {
-		add(ContractExecEquiv, "runner counter totals diverge: %s", d)
-		return
-	}
-
-	// Cross-mode restore: a snapshot taken under one core, round-tripped
-	// through the codec and restored under the other, must finish on the
-	// same final bytes.
-	mid := len(in.Seq) / 2
-	for i, m := range modes {
-		other := modes[1-i]
-		r := a.NewRunner(sys, optFor(m, nil))
-		for _, e := range in.Seq[:mid] {
-			r.Feed(e)
-		}
-		cp, err := r.Snapshot()
-		if err != nil {
-			add(ContractExecEquiv, "%s mid-stream snapshot: %v", m, err)
-			return
-		}
-		var buf bytes.Buffer
-		if err := cp.Encode(&buf); err != nil {
-			add(ContractExecEquiv, "encoding %s snapshot: %v", m, err)
-			return
-		}
-		dec, err := tag.DecodeCheckpoint(&buf)
-		if err != nil {
-			add(ContractExecEquiv, "decoding %s snapshot: %v", m, err)
-			return
-		}
-		r2, err := tag.RestoreRunner(a, sys, optFor(other, nil), dec)
-		if err != nil {
-			add(ContractExecEquiv, "restoring %s snapshot into %s runner: %v", m, other, err)
-			return
-		}
-		for _, e := range in.Seq[mid:] {
-			r2.Feed(e)
-		}
-		resumed, err := snapshotBytes(r2)
-		if err != nil {
-			add(ContractExecEquiv, "snapshot of %s-resumed run: %v", other, err)
-			return
-		}
-		if !bytes.Equal(resumed, snaps[1-i]) {
-			add(ContractExecEquiv, "%s snapshot resumed under %s diverges from the straight %s run", m, other, other)
-			return
-		}
-	}
-
-	// Anchored batch: identical verdicts at every reference slot.
-	refIdx := make([]int, len(in.Seq))
-	for i := range refIdx {
-		refIdx[i] = i
-	}
-	var verdicts [2][]bool
-	for i, m := range modes {
-		v, err := a.AcceptsBatch(nil, sys, in.Seq, refIdx, 0, 1, optFor(m, nil))
-		if err != nil {
-			add(ContractExecEquiv, "%s anchored batch: %v", m, err)
-			return
-		}
-		verdicts[i] = v
-	}
-	for i := range refIdx {
-		if verdicts[0][i] != verdicts[1][i] {
-			add(ContractExecEquiv, "anchored verdicts diverge at reference %d: compiled %v, interpreted %v", i, verdicts[0][i], verdicts[1][i])
-			return
-		}
-	}
-}
-
 // diffBindings returns "" when the two witness bindings are identical, or
 // a short description of the first difference.
 func diffBindings(a, b map[string]int) string {
@@ -847,17 +733,21 @@ func diffBindings(a, b map[string]int) string {
 	return ""
 }
 
-// diffCounts returns "" when the two counter snapshots are identical, or a
-// description of the first differing counter.
+// diffCounts returns "" when the two counter snapshots hold the same
+// totals (a counter missing from one reads as 0), or a description of the
+// first differing counter in name order.
 func diffCounts(a, b map[string]int64) string {
-	for k, va := range a {
-		if vb, ok := b[k]; !ok || va != vb {
-			return fmt.Sprintf("%s: %d vs %d", k, va, b[k])
-		}
+	names := make([]string, 0, len(a)+len(b))
+	for k := range a {
+		names = append(names, k)
 	}
 	for k := range b {
-		if _, ok := a[k]; !ok {
-			return fmt.Sprintf("%s only in the second snapshot", k)
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	for _, k := range names {
+		if a[k] != b[k] {
+			return fmt.Sprintf("%s: %d vs %d", k, a[k], b[k])
 		}
 	}
 	return ""

@@ -18,7 +18,10 @@
 //   - distinction: [0,0]g stays distinguishable from any pure second
 //     window ("[0,0]day is not [0,86399]second");
 //   - tag: TAG acceptance equals exhaustive occurrence search (Theorem 3),
-//     and serial, parallel and checkpoint-resumed runs are byte-identical;
+//     the accepting event and witness are the earliest-completing,
+//     smallest enumerated occurrence, the streaming Runner matches the
+//     batch run, and serial, parallel and checkpoint-resumed runs are
+//     byte-identical;
 //   - mining: Optimized equals Naive, and every discovery's match count
 //     re-verifies against an anchored brute-force counter;
 //   - incremental-equiv: the incremental miner, fed one event at a time
@@ -199,7 +202,6 @@ const (
 	ContractDistinction  = "distinction"
 	ContractTAG          = "tag"
 	ContractMining       = "mining"
-	ContractExecEquiv    = "exec-equiv"
 	ContractStoreReplay  = "store-replay"
 	// ContractIncrementalEquiv feeds the instance's sequence one event at a
 	// time into the incremental miner and requires discoveries, screening
@@ -214,3 +216,10 @@ const (
 	// stream view identical to a standalone tempod fed the same events.
 	ContractClusterRebalance = "cluster-rebalance"
 )
+
+// ContractNames lists every contract in evaluation order; Knobs.Only
+// selects among exactly these names.
+func ContractNames() []string {
+	return []string{ContractConsistency, ContractDerivedBound, ContractConversion, ContractDistinction,
+		ContractTAG, ContractMining, ContractStoreReplay, ContractIncrementalEquiv, ContractClusterRebalance}
+}

@@ -55,6 +55,10 @@ type jobRecord struct {
 // and eventsLogged are immutable after submission.
 type job struct {
 	mu sync.Mutex
+	// persistMu serializes the job's record writes: the attempt that
+	// finishes and the next one a refresh starts may persist at once, and
+	// both write through the same <id>.json.tmp.
+	persistMu sync.Mutex
 
 	id           string
 	req          JobCreateRequest
@@ -93,7 +97,6 @@ type jobStore struct {
 	counters       *engine.Counters
 	depth          int
 	defaultWorkers int
-	mode           engine.ExecMode
 	noLog          bool
 	sessionTail    sessionTailFunc
 	jobs           map[string]*job
@@ -107,7 +110,7 @@ type jobStore struct {
 	wg     sync.WaitGroup
 }
 
-func newJobStore(dir string, sys *granularity.System, counters *engine.Counters, workers, depth, defaultScanWorkers int, mode engine.ExecMode, noLog bool, sessionTail sessionTailFunc) (*jobStore, error) {
+func newJobStore(dir string, sys *granularity.System, counters *engine.Counters, workers, depth, defaultScanWorkers int, noLog bool, sessionTail sessionTailFunc) (*jobStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -118,7 +121,6 @@ func newJobStore(dir string, sys *granularity.System, counters *engine.Counters,
 		counters:       counters,
 		depth:          depth,
 		defaultWorkers: defaultScanWorkers,
-		mode:           mode,
 		noLog:          noLog,
 		sessionTail:    sessionTail,
 		jobs:           make(map[string]*job),
@@ -139,10 +141,13 @@ func newJobStore(dir string, sys *granularity.System, counters *engine.Counters,
 // record stays small and the events are checksummed on disk. A full queue
 // rejects with errBusy; a draining store with errDraining. A non-empty
 // assignID (a router placing the job on its hash ring) overrides the local
-// j%06d scheme; it must be unused.
+// j%06d scheme; it must be unused, live or on disk.
 func (st *jobStore) submit(req *JobCreateRequest, assignID string) (*job, error) {
 	if err := validAssignedID(assignID); err != nil {
 		return nil, err
+	}
+	if assignID != "" && st.onDisk(assignID) {
+		return nil, fmt.Errorf("server: job %q already exists", assignID)
 	}
 	st.mu.Lock()
 	if st.closed {
@@ -361,7 +366,7 @@ func (st *jobStore) run(j *job) {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
 		defer cancel()
 	}
-	opt.Engine = engine.Config{Ctx: ctx, Budget: req.Budget, Observer: st.counters, Mode: st.mode}
+	opt.Engine = engine.Config{Ctx: ctx, Budget: req.Budget, Observer: st.counters}
 
 	var (
 		ds    []mining.Discovery
@@ -378,7 +383,7 @@ func (st *jobStore) run(j *job) {
 	}
 	switch {
 	case err == nil:
-		res, berr := cli.BuildMineResult(st.sys, p, work, ds, stats, p.MinConfidence, req.Explain, st.mode)
+		res, berr := cli.BuildMineResult(st.sys, p, work, ds, stats, p.MinConfidence, req.Explain, engine.ExecCompiled)
 		if berr != nil {
 			st.fail(j, berr)
 			return
@@ -429,7 +434,7 @@ func (st *jobStore) runIncremental(j *job, req JobCreateRequest, resume *mining.
 		st.fail(j, err)
 		return
 	}
-	opt.Engine = engine.Config{Observer: st.counters, Mode: st.mode}
+	opt.Engine = engine.Config{Observer: st.counters}
 
 	from, fromTime := int64(0), int64(0)
 	if resume != nil && resume.Stage == mining.StageIncremental && resume.Incremental != nil {
@@ -481,7 +486,7 @@ func (st *jobStore) runIncremental(j *job, req JobCreateRequest, resume *mining.
 		st.fail(j, err)
 		return
 	}
-	res, err := cli.BuildMineResult(st.sys, p, nil, ds, stats, p.MinConfidence, 0, st.mode)
+	res, err := cli.BuildMineResult(st.sys, p, nil, ds, stats, p.MinConfidence, 0, engine.ExecCompiled)
 	if err != nil {
 		st.fail(j, err)
 		return
@@ -561,9 +566,35 @@ func (st *jobStore) path(id string) string {
 	return filepath.Join(st.dir, id+".json")
 }
 
+// onDisk reports whether a record or event log for id is on disk. A job
+// a restart did not restore keeps both, so its ID stays taken: a new job
+// under it would overwrite the record and replace the log.
+func (st *jobStore) onDisk(id string) bool {
+	for _, p := range []string{st.path(id), st.logDir(id)} {
+		if _, err := os.Stat(p); err == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// reserveID keeps the local j%06d scheme above id, the ID of a record or
+// log that restore left on disk.
+func (st *jobStore) reserveID(id string) {
+	st.mu.Lock()
+	if n := idNumber(id, "j"); n >= st.nextID {
+		st.nextID = n + 1
+	}
+	st.mu.Unlock()
+}
+
 // persist writes the job's record atomically. When the input sequence is
-// in the event log, the record omits its inline copy.
+// in the event log, the record omits its inline copy. Writes of one job
+// are serialized and each snapshots the job under that lock, so the last
+// write carries the latest state.
 func (st *jobStore) persist(j *job) error {
+	j.persistMu.Lock()
+	defer j.persistMu.Unlock()
 	j.mu.Lock()
 	rec := jobRecord{
 		Version:      jobRecordVersion,
@@ -591,9 +622,10 @@ func (st *jobStore) persist(j *job) error {
 // order — interrupted ones resume from their checkpoint, and their input
 // sequences come back from the per-job event logs. Records that fail to
 // decode are quarantined to <name>.corrupt; other unrestorable records are
-// skipped with a log line. Orphaned event-log directories (their record
-// gone) are swept away. It reports the aggregate log recovery and how many
-// jobs came back.
+// skipped with a log line, their file and log left in place and their ID
+// kept out of reuse. Orphaned event-log directories (their record gone)
+// are swept away. It reports the aggregate log recovery and how many jobs
+// came back.
 func (st *jobStore) restore(logger *log.Logger) (agg store.Recovery, restored int, err error) {
 	entries, err := os.ReadDir(st.dir)
 	if err != nil {
@@ -614,6 +646,7 @@ func (st *jobStore) restore(logger *log.Logger) (agg store.Recovery, restored in
 		agg.Add(rec)
 		if rerr != nil {
 			logger.Printf("job record %s not restored: %v", name, rerr)
+			st.reserveID(strings.TrimSuffix(name, ".json"))
 			continue
 		}
 		restored++
@@ -625,6 +658,7 @@ func (st *jobStore) restore(logger *log.Logger) (agg store.Recovery, restored in
 		}
 		// Keep the log when its record was quarantined — it is evidence.
 		if _, serr := os.Stat(st.path(id) + ".corrupt"); serr == nil {
+			st.reserveID(id)
 			continue
 		}
 		os.RemoveAll(filepath.Join(st.dir, d))

@@ -59,12 +59,6 @@ type Config struct {
 	// RetryAfter is the Retry-After hint on 429/503 responses, in seconds
 	// (default 1).
 	RetryAfter int
-	// Exec selects the TAG execution core for every session and mining
-	// job: engine.ExecCompiled (the default) or engine.ExecInterp, the
-	// pre-compilation interpreter kept for one release as the
-	// differential baseline. Session checkpoints restore across either
-	// setting.
-	Exec engine.ExecMode
 	// System, when non-nil, is the granularity system to use instead of
 	// loading one from Grans — embedders (tests, the differential oracle)
 	// inject synthetic systems this way.
@@ -151,7 +145,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	counters := engine.NewCounters()
-	sessions, err := newSessionStore(filepath.Join(cfg.DataDir, "sessions"), sys, counters, cfg.MaxSessions, cfg.Exec, cfg.CheckpointEvery, cfg.NoEventLog)
+	sessions, err := newSessionStore(filepath.Join(cfg.DataDir, "sessions"), sys, counters, cfg.MaxSessions, cfg.CheckpointEvery, cfg.NoEventLog)
 	if err != nil {
 		return nil, err
 	}
@@ -159,7 +153,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	jobs, err := newJobStore(filepath.Join(cfg.DataDir, "jobs"), sys, counters, cfg.JobWorkers, cfg.JobQueueDepth, cfg.ScanWorkers, cfg.Exec, cfg.NoEventLog, sessions.tail)
+	jobs, err := newJobStore(filepath.Join(cfg.DataDir, "jobs"), sys, counters, cfg.JobWorkers, cfg.JobQueueDepth, cfg.ScanWorkers, cfg.NoEventLog, sessions.tail)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -279,7 +280,7 @@ func expectedMineBody(t *testing.T) []byte {
 	if err != nil || cp != nil {
 		t.Fatalf("reference mine: cp=%v err=%v", cp != nil, err)
 	}
-	res, err := cli.BuildMineResult(sys, p, work, ds, stats, p.MinConfidence, 0, opt.Engine.Mode)
+	res, err := cli.BuildMineResult(sys, p, work, ds, stats, p.MinConfidence, 0, engine.ExecCompiled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +340,7 @@ func TestJobLifecycle(t *testing.T) {
 func TestJobQueueFull(t *testing.T) {
 	srv, ts := newTestServer(t, nil)
 	srv.jobs.shutdown()
-	idle, err := newJobStore(t.TempDir(), srv.sys, srv.counters, 0, 1, 0, engine.ExecCompiled, false, nil)
+	idle, err := newJobStore(t.TempDir(), srv.sys, srv.counters, 0, 1, 0, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1106,5 +1107,130 @@ func TestRestoreSkippedSessionKeepsID(t *testing.T) {
 	}
 	if view := readBody(t, get(t, ts3.URL+"/v1/tag/sessions/"+old.ID)); !bytes.Equal(view, oldView) {
 		t.Fatalf("skipped session differs once its definition is back:\nbefore:\n%s\nafter:\n%s", oldView, view)
+	}
+}
+
+// TestJobPersistSerialized: the attempt that finishes a session-attached
+// job and the next attempt a refresh starts can persist the job at the
+// same time, through the same <id>.json.tmp. Persists of one job are
+// serialized, so none fails, and the record on disk ends at the job's
+// latest state.
+func TestJobPersistSerialized(t *testing.T) {
+	srv, _ := newTestServer(t, nil)
+	j := &job{id: "j000001", state: JobDone}
+	const writers, rounds = 4, 25
+	errs := make(chan error, writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				j.mu.Lock()
+				j.errMsg = fmt.Sprintf("writer %d round %d", w, i)
+				j.mu.Unlock()
+				if err := srv.jobs.persist(j); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("concurrent persist: %v", err)
+	}
+	var rec jobRecord
+	if err := json.Unmarshal(mustReadFile(t, srv.jobs.path(j.id)), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Error != j.errMsg {
+		t.Fatalf("record ends at %q, the job at %q", rec.Error, j.errMsg)
+	}
+}
+
+// TestRestoreSkippedJobKeepsID: a job record that restore skips (here one
+// with an unknown state) keeps its ID out of reuse. The next local job
+// gets a fresh ID, a router-assigned submit under the skipped ID is
+// refused, and the skipped record and its event log stay byte-identical.
+func TestRestoreSkippedJobKeepsID(t *testing.T) {
+	dir := t.TempDir()
+	jobsDir := filepath.Join(dir, "jobs")
+	var req JobCreateRequest
+	if err := json.Unmarshal(jobRequestJSON(t, ""), &req); err != nil {
+		t.Fatal(err)
+	}
+	// A store with no workers leaves the job queued, its record and event
+	// log on disk.
+	idle, err := newJobStore(jobsDir, granularity.Default(), engine.NewCounters(), 0, 4, 0, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := idle.submit(&req, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle.shutdown()
+	recPath := filepath.Join(jobsDir, old.id+".json")
+	data := mustReadFile(t, recPath)
+	if !bytes.Contains(data, []byte(`"state": "queued"`)) {
+		t.Fatalf("record of the queued job:\n%s", data)
+	}
+	if err := os.WriteFile(recPath, bytes.Replace(data, []byte(`"state": "queued"`), []byte(`"state": "paused"`), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func() map[string]string {
+		files := map[string]string{}
+		for _, root := range []string{old.id + ".json", old.id + ".events"} {
+			err := filepath.Walk(filepath.Join(jobsDir, root), func(p string, info os.FileInfo, err error) error {
+				if err == nil && !info.IsDir() {
+					files[p] = string(mustReadFile(t, p))
+				}
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return files
+	}
+	before := snapshot()
+	if len(before) < 2 {
+		t.Fatalf("expected the record and a non-empty event log, found %d file(s)", len(before))
+	}
+
+	srv, err := New(Config{DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer srv.jobs.shutdown()
+	defer ts.Close()
+	if _, ok := srv.jobs.get(old.id); ok {
+		t.Fatalf("restored job %s with an unknown state", old.id)
+	}
+	resp := post(t, ts.URL+"/v1/mining/jobs", jobRequestJSON(t, ""))
+	var st JobStatusResponse
+	if err := json.Unmarshal(readBody(t, resp), &st); err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d, %v", resp.StatusCode, err)
+	}
+	if st.ID == old.id {
+		t.Fatalf("new job reused the skipped job's id %s", old.id)
+	}
+	resp = postJSON(t, ts.URL+"/v1/mining/jobs", json.RawMessage(jobRequestJSON(t, "")),
+		map[string]string{AssignIDHeader: old.id})
+	if body := readBody(t, resp); resp.StatusCode == http.StatusAccepted || !bytes.Contains(body, []byte("already exists")) {
+		t.Fatalf("assigned submit over a skipped record: status %d: %s", resp.StatusCode, body)
+	}
+	pollJob(t, ts.URL, st.ID, func(js *JobStatusResponse) bool { return js.State == JobDone })
+	after := snapshot()
+	if len(after) != len(before) {
+		t.Fatalf("skipped job's files changed: %d before, %d after", len(before), len(after))
+	}
+	for p, b := range before {
+		if after[p] != b {
+			t.Fatalf("skipped job's %s changed", p)
+		}
 	}
 }

@@ -81,7 +81,6 @@ func expectedSessionJobBody(t *testing.T, srv *Server, seq event.Sequence) []byt
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Engine = engine.Config{Mode: engine.ExecCompiled}
 	ds, stats, err := mining.Optimized(srv.sys, p, seq, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -87,14 +87,13 @@ type sessionStore struct {
 	sys       *granularity.System
 	counters  *engine.Counters
 	max       int
-	mode      engine.ExecMode
 	ckptEvery int
 	noLog     bool
 	sessions  map[string]*session
 	nextID    int
 }
 
-func newSessionStore(dir string, sys *granularity.System, counters *engine.Counters, max int, mode engine.ExecMode, ckptEvery int, noLog bool) (*sessionStore, error) {
+func newSessionStore(dir string, sys *granularity.System, counters *engine.Counters, max int, ckptEvery int, noLog bool) (*sessionStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -106,7 +105,6 @@ func newSessionStore(dir string, sys *granularity.System, counters *engine.Count
 		sys:       sys,
 		counters:  counters,
 		max:       max,
-		mode:      mode,
 		ckptEvery: ckptEvery,
 		noLog:     noLog,
 		sessions:  make(map[string]*session),
@@ -144,7 +142,7 @@ func (st *sessionStore) runOptions(strict bool, maxFrontier int, budget int64) t
 	return tag.RunOptions{
 		Strict:      strict,
 		MaxFrontier: maxFrontier,
-		Engine:      engine.Config{Budget: budget, Observer: st.counters, Mode: st.mode},
+		Engine:      engine.Config{Budget: budget, Observer: st.counters},
 	}
 }
 

@@ -16,13 +16,15 @@ import (
 const CheckpointVersion = 1
 
 // ExecSchemaVersion identifies the execution-state schema this build writes
-// and reads: the meaning of the frontier encoding. It is deliberately
-// independent of engine.ExecMode — compiled and interpreted runners share
-// one schema, which is what makes cross-mode restores legal — and bumps
-// only when the encoded execution state itself changes meaning. A change
-// of conversion-table layout is not a schema change: the fingerprint
-// digests each clock's table signature (or "none"), so it refuses only
-// checkpoints over the clocks whose layout moved.
+// and reads: the meaning of the frontier encoding. It bumps only when the
+// encoded execution state itself changes meaning. The witness tie-break is
+// not part of the schema: a restored frontier run keeps the binding it was
+// saved with, and every binding it carries is a valid partial occurrence,
+// so a checkpoint written under an earlier tie-break still resumes to the
+// same verdict with a valid witness. A change of conversion-table layout is
+// not a schema change either: the fingerprint digests each clock's table
+// signature (or "none"), so it refuses only checkpoints over the clocks
+// whose layout moved.
 const ExecSchemaVersion = 1
 
 // SchemaMismatchError reports a checkpoint whose execution-state schema
@@ -159,7 +161,7 @@ func (r *Runner) Snapshot() (Checkpoint, error) {
 		Strict:      r.opt.Strict,
 		Steps:       r.steps,
 		PrevTime:    r.prevTime,
-		CurOK:       append([]bool(nil), r.curOK...),
+		CurOK:       append([]bool(nil), r.ps.curOK...),
 		Accepted:    r.accepted,
 		Binding:     copyBinding(r.binding),
 		MaxFrontier: r.maxFront,
@@ -195,14 +197,13 @@ func RestoreRunner(a *TAG, sys *granularity.System, opt RunOptions, cp *Checkpoi
 	r := a.NewRunner(sys, opt)
 	r.steps = cp.Steps
 	r.prevTime = cp.PrevTime
-	copy(r.curOK, cp.CurOK)
+	copy(r.ps.curOK, cp.CurOK)
 	r.accepted = cp.Accepted
 	r.binding = copyBinding(cp.Binding)
 	r.maxFront = cp.MaxFrontier
 	r.degraded = cp.Degraded
 	// NewRunner seeded the initial frontier; replace it with the snapshot's
-	// (at Steps == 0 they coincide). The snapshot may come from either
-	// execution mode — the wire format is mode-independent.
+	// (at Steps == 0 they coincide).
 	if err := r.loadFrontier(cp.Frontier); err != nil {
 		return nil, err
 	}

@@ -2,8 +2,8 @@ package tag
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -12,22 +12,16 @@ import (
 	"repro/internal/granularity"
 )
 
-// This file is the compiled execution core of the TAG simulation: the
-// automaton is lowered once into flat index-addressed arrays (integer state
-// ids, CSR transition tables, fixed clock slots, interned symbols and
-// variable ids) and the NDFA frontier is simulated over reusable flat
-// buffers with an open-addressing dedup table — no per-step maps, closures
-// or key strings. The interpreted path (runInterp, feedInterp) remains
-// available behind engine.Config.Mode for one release as the differential
-// baseline; both paths are required to agree byte-for-byte on verdicts,
-// witness bindings, stats, counter totals and checkpoints (see
-// internal/oracle's exec-equivalence contract).
+// This file is the TAG execution core: the automaton is lowered once into
+// flat index-addressed arrays (integer state ids, CSR transition tables,
+// fixed clock slots, interned symbols and variable ids) and the NDFA
+// frontier is simulated over reusable flat buffers with an open-addressing
+// dedup table — no per-step maps, closures or key strings. The batch run
+// (run) and the streaming Runner advance the frontier through the same
+// per-event step.
 //
-// One deliberate divergence: the compiled path resolves each clock's
-// granularity (and its conversion table) once per run, while the
-// interpreter consults the registry on every event. Mutating the
-// granularity system mid-run was never supported; now it is also not
-// observed.
+// Each clock's granularity (and its conversion table) is resolved once per
+// run, so mutating the granularity system mid-run is not observed.
 
 const (
 	symAny  int32 = -1 // transition matches any symbol
@@ -87,10 +81,9 @@ type program struct {
 	progLo  []int32 // CSR over states: state-changing transition ids
 	progIDs []int32
 
-	syms    map[event.Type]int32
-	vars    []string // sorted variable names; index = variable id
-	varComp []string // vars[i] + "=", the bindingKey component prefix
-	varID   map[string]int32
+	syms  map[event.Type]int32
+	vars  []string // sorted variable names; index = variable id
+	varID map[string]int32
 
 	pool sync.Pool // *progScratch, for batch runs
 }
@@ -157,7 +150,6 @@ func buildProgram(a *TAG) *program {
 	sort.Strings(p.vars)
 	for i, v := range p.vars {
 		p.varID[v] = int32(i)
-		p.varComp = append(p.varComp, v+"=")
 	}
 	p.transLo = make([]int32, p.nStates+1)
 	p.resetLo = append(p.resetLo, 0)
@@ -230,9 +222,19 @@ func flattenConj(f Formula, idx map[Clock]int, dst []guardAtom) ([]guardAtom, bo
 	return nil, false
 }
 
-// runsBuf is a flat frontier: row r occupies states[r], vals/invalid
-// [r*C, (r+1)*C) and (when witnesses are tracked) bind [r*W, (r+1)*W).
-// Slice lengths always equal n*stride so appends land at row n.
+// runsBuf is a flat frontier of NDFA runs: row r occupies states[r],
+// vals/invalid [r*C, (r+1)*C) and (when witnesses are tracked) bind
+// [r*W, (r+1)*W). Slice lengths always equal n*stride so appends land at
+// row n.
+//
+// A run's valuation is stored as the granule index at each clock's last
+// reset, so a reading is cover(now) − vals[slot]: this telescopes to the
+// paper's accumulated value when every intermediate cover is defined, and
+// recovers after an unrelated gap event under the lazy semantics. invalid
+// marks clocks reset at an uncovered timestamp. bind holds, per variable
+// id, the index of the event the run bound to it (unbound when none); it
+// is carried along but is not part of the dedup key, because runs that
+// differ only in their witness are interchangeable for acceptance.
 type runsBuf struct {
 	n       int
 	states  []int32
@@ -294,7 +296,7 @@ func (b *runsBuf) copyRow(dst, src, C, W int) {
 
 // sameKey reports whether rows i and j have equal dedup keys: same state,
 // same invalid mask, same values on valid slots. Values under an invalid
-// mask are excluded, exactly like the "|x" component of runState.key().
+// mask are excluded.
 func (b *runsBuf) sameKey(i, j, C int) bool {
 	if b.states[i] != b.states[j] {
 		return false
@@ -378,7 +380,10 @@ func (f *flatReader) doomedRead(c Clock) (int64, bool) {
 // progScratch holds every buffer one simulation needs; batch runs pool it,
 // a Runner owns one for its lifetime.
 type progScratch struct {
-	cur, nxt runsBuf
+	// cur is the frontier and nxt the successors one step builds; they
+	// point into bufs and trade places after every event.
+	cur, nxt *runsBuf
+	bufs     [2]runsBuf
 	curCover []int64
 	curOK    []bool
 	prevOK   []bool
@@ -393,8 +398,7 @@ type progScratch struct {
 // newScratch builds a zeroed scratch with tick functions resolved from sys
 // (conversion-table lookups when the system has a table for the clock's
 // granularity, the direct implementation otherwise; nil for granularities
-// the system does not know — those clocks read as permanently uncovered,
-// like the interpreter's per-event registry miss).
+// the system does not know — those clocks read as permanently uncovered).
 func (p *program) newScratch(sys *granularity.System) *progScratch {
 	s := &progScratch{}
 	p.initScratch(s, sys)
@@ -424,7 +428,7 @@ func (p *program) initScratch(s *progScratch, sys *granularity.System) {
 	s.ticks = s.ticks[:C]
 	for i := range s.curCover {
 		// Zeroed so masked valuations (initiation under a registry miss)
-		// serialize exactly like the interpreter's fresh arrays.
+		// serialize deterministically.
 		s.curCover[i] = 0
 		s.curOK[i] = false
 		s.prevOK[i] = false
@@ -439,6 +443,7 @@ func (p *program) initScratch(s *progScratch, sys *granularity.System) {
 	if s.table == nil {
 		s.table = make([]int32, 64)
 	}
+	s.cur, s.nxt = &s.bufs[0], &s.bufs[1]
 	s.cur.reset()
 	s.nxt.reset()
 	s.bestBind = s.bestBind[:0]
@@ -471,9 +476,9 @@ func (p *program) rowHash(b *runsBuf, row int) uint64 {
 }
 
 // dedupInsert inserts the candidate (the last pushed row of b) into the
-// table, or resolves the collision exactly like the interpreter: count the
-// dup, keep the incumbent when its bindingKey is <= the candidate's,
-// replace it otherwise. The candidate row is popped in both dup outcomes.
+// table, or resolves the collision: count the dup, keep the incumbent when
+// its binding is <= the candidate's (cmpBind), replace it otherwise. The
+// candidate row is popped in both dup outcomes.
 func (s *progScratch) dedupInsert(p *program, b *runsBuf, row, C, W int, deduped *int64) {
 	if (b.n+1)*2 >= len(s.table) {
 		s.growTable(p, b, row)
@@ -488,7 +493,7 @@ func (s *progScratch) dedupInsert(p *program, b *runsBuf, row, C, W int, deduped
 		}
 		if b.sameKey(int(e), row, C) {
 			*deduped++
-			if p.cmpBindRows(b.bindRow(int(e), W), b.bindRow(row, W)) > 0 {
+			if cmpBind(b.bindRow(int(e), W), b.bindRow(row, W)) > 0 {
 				b.copyRow(int(e), row, C, W)
 			}
 			b.pop(C, W)
@@ -519,84 +524,17 @@ func (s *progScratch) growTable(p *program, b *runsBuf, candidate int) {
 	}
 }
 
-// cmpBindRows compares two flat bindings in exactly the order bindingKey
-// induces: the concatenation of "name=idx;" components over bound
-// variables in sorted-name order, compared as strings. (Note the string
-// order quirks this inherits deliberately: "a=12;" < "a=3;" because '1' <
-// '3', and "a=12;" < "a=1;" because '2' < ';'. The interpreter's winner
-// selection is defined by that string order, so the compiled core
-// reproduces it rather than comparing indices numerically.)
-func (p *program) cmpBindRows(a, b []int32) int {
-	ia, ib := nextBound(a, 0), nextBound(b, 0)
-	var da, db [12]byte
-	for {
-		switch {
-		case ia < 0 && ib < 0:
-			return 0
-		case ia < 0:
-			return -1
-		case ib < 0:
-			return 1
-		}
-		if c := cmpComponent(p.varComp[ia], a[ia], p.varComp[ib], b[ib], da[:0], db[:0]); c != 0 {
-			return c
-		}
-		ia, ib = nextBound(a, ia+1), nextBound(b, ib+1)
-	}
-}
+// cmpBind orders two flat bindings of one program by their bound event
+// indices in sorted-variable order (an unbound slot, -1, sorts first). The
+// frontier keeps the smaller binding of two runs that meet in one run key,
+// and acceptance reports the smallest, so a witness never depends on the
+// order in which runs were generated. Runs that meet share their future,
+// so the minimum survives to acceptance: the reported witness is the
+// lexicographically smallest occurrence completing at the accepting event.
+func cmpBind(a, b []int32) int { return slices.Compare(a, b) }
 
-func nextBound(bind []int32, from int) int {
-	for i := from; i < len(bind); i++ {
-		if bind[i] >= 0 {
-			return i
-		}
-	}
-	return -1
-}
-
-// cmpComponent compares the strings prefixA+dec(va)+";" and
-// prefixB+dec(vb)+";" without materializing them.
-func cmpComponent(pa string, va int32, pb string, vb int32, da, db []byte) int {
-	sa := strconv.AppendInt(da, int64(va), 10)
-	sb := strconv.AppendInt(db, int64(vb), 10)
-	la := len(pa) + len(sa) + 1
-	lb := len(pb) + len(sb) + 1
-	n := la
-	if lb < n {
-		n = lb
-	}
-	for i := 0; i < n; i++ {
-		ca, cb := compChar(pa, sa, i), compChar(pb, sb, i)
-		if ca != cb {
-			if ca < cb {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case la < lb:
-		return -1
-	case la > lb:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func compChar(prefix string, dec []byte, i int) byte {
-	if i < len(prefix) {
-		return prefix[i]
-	}
-	i -= len(prefix)
-	if i < len(dec) {
-		return dec[i]
-	}
-	return ';'
-}
-
-// bindMap materializes a flat binding as the interpreter's map form: nil
-// when nothing is bound (the interpreter never creates empty maps).
+// bindMap materializes a flat binding as a variable → event index map:
+// nil when nothing is bound.
 func (p *program) bindMap(row []int32) map[string]int {
 	var m map[string]int
 	for i, v := range row {
@@ -660,8 +598,13 @@ func (p *program) guardDead(g *guardProg, s *progScratch, b *runsBuf, base int) 
 	}
 }
 
-// doomed is the compiled runDoomed: true when every state-changing guard
-// out of state is permanently dead for the row at base.
+// doomed reports whether the run at base can never reach an accepting
+// state: every state-changing transition's guard out of state is
+// permanently dead. Clock values only grow while the run waits in its
+// state, and an invalid clock (reset at an uncovered timestamp) stays
+// invalid, so LE atoms past their bound and atoms over invalid clocks
+// never recover. A transiently uncovered current timestamp is NOT
+// permanent (see flatReader.doomedRead).
 func (p *program) doomed(s *progScratch, b *runsBuf, state int32, base int) bool {
 	lo, hi := p.progLo[state], p.progLo[state+1]
 	if lo == hi {
@@ -675,9 +618,8 @@ func (p *program) doomed(s *progScratch, b *runsBuf, state int32, base int) bool
 	return true
 }
 
-// runCompiled is the compiled batch simulation; it mirrors runInterp step
-// for step (budget spend, counter totals, stats, verdicts, witnesses).
-func (a *TAG) runCompiled(ex *engine.Exec, sys *granularity.System, seq event.Sequence, opt RunOptions, witness bool) (map[string]int, bool, RunStats, error) {
+// run is the batch simulation behind Accepts and FindOccurrence.
+func (a *TAG) run(ex *engine.Exec, sys *granularity.System, seq event.Sequence, opt RunOptions, witness bool) (map[string]int, bool, RunStats, error) {
 	stats := RunStats{AcceptedAt: -1}
 	p := a.program()
 	for _, st := range p.starts {
@@ -688,13 +630,11 @@ func (a *TAG) runCompiled(ex *engine.Exec, sys *granularity.System, seq event.Se
 	}
 	s := p.getScratch(sys)
 	defer p.pool.Put(s)
-	C := p.nClocks
 	W := 0
 	if witness {
 		W = len(p.vars)
 	}
-	s.cur.seed(p, C, W)
-	cur, nxt := &s.cur, &s.nxt
+	s.cur.seed(p, p.nClocks, W)
 
 	var events, alive, deduped, killed int64
 	flush := func() {
@@ -702,106 +642,35 @@ func (a *TAG) runCompiled(ex *engine.Exec, sys *granularity.System, seq event.Se
 		ex.Count("tag.runs.alive", alive)
 		ex.Count("tag.runs.deduped", deduped)
 		ex.Count("tag.runs.killed", killed)
-		events, alive, deduped, killed = 0, 0, 0, 0
 	}
-	for idx := 0; idx < len(seq); idx++ {
-		e := seq[idx]
-		if err := ex.Step(1 + int64(cur.n)); err != nil {
+	for idx, e := range seq {
+		if err := ex.Step(1 + int64(s.cur.n)); err != nil {
 			flush()
 			return nil, false, stats, err
 		}
 		events++
-		alive += int64(cur.n)
+		alive += int64(s.cur.n)
 		stats.Steps++
-		copy(s.prevOK, s.curOK)
-		for ci := 0; ci < C; ci++ {
-			if s.ticks[ci] == nil {
-				s.curOK[ci] = false
-				continue
-			}
-			s.curCover[ci], s.curOK[ci] = s.ticks[ci](e.Time)
-		}
-		if idx == 0 {
-			for r := 0; r < cur.n; r++ {
-				base := r * C
-				copy(cur.vals[base:base+C], s.curCover)
-				for ci := 0; ci < C; ci++ {
-					cur.invalid[base+ci] = !s.curOK[ci]
-				}
-			}
-		} else if opt.Strict {
-			for ci := 0; ci < C; ci++ {
-				if !s.curOK[ci] || !s.prevOK[ci] {
-					cur.reset()
-					break
-				}
-			}
-		}
-		esym, known := p.syms[e.Type]
-		if !known {
-			esym = symNone
-		}
-		nxt.reset()
-		s.clearTable()
-		accepted := false
-		for r := 0; r < cur.n; r++ {
-			st := cur.states[r]
-			curBase := r * C
-			for ti := p.transLo[st]; ti < p.transLo[st+1]; ti++ {
-				if sym := p.tSym[ti]; sym != symAny && sym != esym {
-					continue
-				}
-				if opt.Anchored && idx == 0 && p.tSym[ti] == symAny && p.tSelf[ti] {
-					continue
-				}
-				if !p.guardEval(&p.tGuard[ti], s, cur, curBase) {
-					continue
-				}
-				row := nxt.pushFrom(cur, r, C, W)
-				rowBase := row * C
-				to := p.tTo[ti]
-				nxt.states[row] = to
-				if W > 0 && p.tBinds[ti] >= 0 {
-					nxt.bind[row*W+int(p.tBinds[ti])] = int32(idx)
-				}
-				for ri := p.resetLo[ti]; ri < p.resetLo[ti+1]; ri++ {
-					ci := int(p.resets[ri])
-					nxt.vals[rowBase+ci] = s.curCover[ci]
-					nxt.invalid[rowBase+ci] = !s.curOK[ci]
-				}
-				if p.accept[to] {
-					nb := nxt.bindRow(row, W)
-					if !accepted || p.cmpBindRows(nb, s.bestBind) < 0 {
-						s.bestBind = append(s.bestBind[:0], nb...)
-					}
-					accepted = true
-					nxt.pop(C, W)
-					continue
-				}
-				if p.doomed(s, nxt, to, rowBase) {
-					killed++
-					nxt.pop(C, W)
-					continue
-				}
-				s.dedupInsert(p, nxt, row, C, W, &deduped)
-			}
-		}
+		accepted, k, d := p.step(s, e, idx, W, &opt)
+		killed += k
+		deduped += d
 		if accepted {
 			stats.AcceptedAt = idx
-			if nxt.n > stats.MaxFrontier {
-				stats.MaxFrontier = nxt.n
+			if s.nxt.n > stats.MaxFrontier {
+				stats.MaxFrontier = s.nxt.n
 			}
 			flush()
 			return p.bindMap(s.bestBind), true, stats, nil
 		}
-		cur, nxt = nxt, cur
-		if cur.n > stats.MaxFrontier {
-			stats.MaxFrontier = cur.n
+		if s.cur.n > stats.MaxFrontier {
+			stats.MaxFrontier = s.cur.n
 		}
-		if opt.MaxFrontier > 0 && cur.n > opt.MaxFrontier {
+		if opt.MaxFrontier > 0 && s.cur.n > opt.MaxFrontier {
+			// Safety valve: refuse to blow up. Report non-acceptance with
+			// the stats gathered so far.
 			break
 		}
-		if cur.n == 0 {
+		if s.cur.n == 0 {
 			break
 		}
 	}
@@ -809,11 +678,15 @@ func (a *TAG) runCompiled(ex *engine.Exec, sys *granularity.System, seq event.Se
 	return nil, false, stats, nil
 }
 
-// feedCompiled is the compiled Runner step; Feed's prologue (acceptance,
-// seals, ordering, budget, the per-event counters) has already run.
-func (r *Runner) feedCompiled(e event.Event, idx int) (bool, bool) {
-	p, s := r.p, r.ps
-	C, W := p.nClocks, len(p.vars)
+// step advances the frontier s.cur over e, the idx-th event (0-based) of
+// the input; W is the number of binding slots tracked per run (0 when the
+// caller needs no witness). When some run reaches an accepting state on e
+// it returns accepted, with the smallest accepting binding (cmpBind) in
+// s.bestBind and the successors generated so far in s.nxt; otherwise s.cur
+// holds the successor frontier. killed counts runs pruned as doomed,
+// deduped runs merged into an equal-key run.
+func (p *program) step(s *progScratch, e event.Event, idx, W int, opt *RunOptions) (accepted bool, killed, deduped int64) {
+	C := p.nClocks
 	copy(s.prevOK, s.curOK)
 	for ci := 0; ci < C; ci++ {
 		if s.ticks[ci] == nil {
@@ -822,96 +695,85 @@ func (r *Runner) feedCompiled(e event.Event, idx int) (bool, bool) {
 		}
 		s.curCover[ci], s.curOK[ci] = s.ticks[ci](e.Time)
 	}
+	cur, nxt := s.cur, s.nxt
 	if idx == 0 {
-		for row := 0; row < s.cur.n; row++ {
-			base := row * C
-			copy(s.cur.vals[base:base+C], s.curCover)
+		// Initiation: all clocks read 0 at the first event, i.e. they
+		// behave as if reset there.
+		for r := 0; r < cur.n; r++ {
+			base := r * C
+			copy(cur.vals[base:base+C], s.curCover)
 			for ci := 0; ci < C; ci++ {
-				s.cur.invalid[base+ci] = !s.curOK[ci]
+				cur.invalid[base+ci] = !s.curOK[ci]
 			}
 		}
-	} else if r.opt.Strict {
+	} else if opt.Strict {
+		// Paper-literal semantics: the update value must be defined for
+		// every clock at every step, or the run cannot continue — and the
+		// deltas are shared, so all runs die together.
 		for ci := 0; ci < C; ci++ {
 			if !s.curOK[ci] || !s.prevOK[ci] {
-				s.cur.reset()
+				cur.reset()
 				break
 			}
 		}
 	}
-	r.prevTime = e.Time
-
 	esym, known := p.syms[e.Type]
 	if !known {
 		esym = symNone
 	}
-	s.nxt.reset()
+	nxt.reset()
 	s.clearTable()
-	var deduped int64
-	accepted := false
-	for row := 0; row < s.cur.n; row++ {
-		st := s.cur.states[row]
-		curBase := row * C
+	noSkip := opt.Anchored && idx == 0 // the anchor event must take a real transition
+	for r := 0; r < cur.n; r++ {
+		st := cur.states[r]
+		curBase := r * C
 		for ti := p.transLo[st]; ti < p.transLo[st+1]; ti++ {
 			if sym := p.tSym[ti]; sym != symAny && sym != esym {
 				continue
 			}
-			if r.opt.Anchored && idx == 0 && p.tSym[ti] == symAny && p.tSelf[ti] {
+			if noSkip && p.tSym[ti] == symAny && p.tSelf[ti] {
 				continue
 			}
-			if !p.guardEval(&p.tGuard[ti], s, &s.cur, curBase) {
+			if !p.guardEval(&p.tGuard[ti], s, cur, curBase) {
 				continue
 			}
-			nrow := s.nxt.pushFrom(&s.cur, row, C, W)
-			rowBase := nrow * C
+			row := nxt.pushFrom(cur, r, C, W)
+			rowBase := row * C
 			to := p.tTo[ti]
-			s.nxt.states[nrow] = to
+			nxt.states[row] = to
 			if W > 0 && p.tBinds[ti] >= 0 {
-				s.nxt.bind[nrow*W+int(p.tBinds[ti])] = int32(idx)
+				nxt.bind[row*W+int(p.tBinds[ti])] = int32(idx)
 			}
 			for ri := p.resetLo[ti]; ri < p.resetLo[ti+1]; ri++ {
 				ci := int(p.resets[ri])
-				s.nxt.vals[rowBase+ci] = s.curCover[ci]
-				s.nxt.invalid[rowBase+ci] = !s.curOK[ci]
+				nxt.vals[rowBase+ci] = s.curCover[ci]
+				nxt.invalid[rowBase+ci] = !s.curOK[ci]
 			}
 			if p.accept[to] {
-				nb := s.nxt.bindRow(nrow, W)
-				if !accepted || p.cmpBindRows(nb, s.bestBind) < 0 {
+				nb := nxt.bindRow(row, W)
+				if !accepted || cmpBind(nb, s.bestBind) < 0 {
 					s.bestBind = append(s.bestBind[:0], nb...)
 				}
 				accepted = true
-				s.nxt.pop(C, W)
+				nxt.pop(C, W)
 				continue
 			}
-			if p.doomed(s, &s.nxt, to, rowBase) {
-				r.ex.Count("tag.runs.killed", 1)
-				s.nxt.pop(C, W)
+			if p.doomed(s, nxt, to, rowBase) {
+				killed++
+				nxt.pop(C, W)
 				continue
 			}
-			s.dedupInsert(p, &s.nxt, nrow, C, W, &deduped)
+			s.dedupInsert(p, nxt, row, C, W, &deduped)
 		}
 	}
-	if deduped > 0 {
-		r.ex.Count("tag.runs.deduped", deduped)
+	if !accepted {
+		s.cur, s.nxt = s.nxt, s.cur
 	}
-	if accepted {
-		r.accepted = true
-		r.binding = p.bindMap(s.bestBind)
-		return true, true
-	}
-	s.cur, s.nxt = s.nxt, s.cur
-	if s.cur.n > r.maxFront {
-		r.maxFront = s.cur.n
-	}
-	if r.opt.MaxFrontier > 0 && s.cur.n > r.opt.MaxFrontier {
-		s.cur.reset()
-		r.degraded = true
-		r.ex.Count("tag.frontier.overflows", 1)
-	}
-	return false, true
+	return accepted, killed, deduped
 }
 
-// keyOfRow regenerates runState.key() for a compiled row (cold path:
-// snapshots only).
+// keyOfRow renders a row's dedup key as text (cold path: snapshots sort
+// their runs by it).
 func (p *program) keyOfRow(b *runsBuf, row int) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%d", b.states[row])
@@ -927,26 +789,8 @@ func (p *program) keyOfRow(b *runsBuf, row int) string {
 }
 
 // snapshotFrontier materializes the frontier as checkpoint runs sorted by
-// dedup key — identical bytes for identical runner states, in either mode.
+// dedup key — identical bytes for identical runner states.
 func (r *Runner) snapshotFrontier() []CheckpointRun {
-	if r.mode.Interpreted() {
-		keys := make([]string, 0, len(r.frontier))
-		for k := range r.frontier {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		runs := make([]CheckpointRun, 0, len(r.frontier))
-		for _, k := range keys {
-			rs := r.frontier[k]
-			runs = append(runs, CheckpointRun{
-				State:   rs.state,
-				Vals:    append([]int64(nil), rs.vals...),
-				Invalid: append([]bool(nil), rs.invalid...),
-				Binding: copyBinding(rs.binding),
-			})
-		}
-		return runs
-	}
 	p, s := r.p, r.ps
 	C, W := p.nClocks, len(p.vars)
 	type keyed struct {
@@ -955,7 +799,7 @@ func (r *Runner) snapshotFrontier() []CheckpointRun {
 	}
 	rows := make([]keyed, s.cur.n)
 	for i := 0; i < s.cur.n; i++ {
-		rows[i] = keyed{key: p.keyOfRow(&s.cur, i), row: i}
+		rows[i] = keyed{key: p.keyOfRow(s.cur, i), row: i}
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].key < rows[j].key })
 	runs := make([]CheckpointRun, 0, len(rows))
@@ -971,24 +815,8 @@ func (r *Runner) snapshotFrontier() []CheckpointRun {
 	return runs
 }
 
-// loadFrontier replaces the runner's frontier with checkpoint runs (the
-// snapshot may have been taken in either execution mode; the formats are
-// identical, so interpreter snapshots restore into the compiled runner and
-// vice versa).
+// loadFrontier replaces the runner's frontier with checkpoint runs.
 func (r *Runner) loadFrontier(runs []CheckpointRun) error {
-	if r.mode.Interpreted() {
-		r.frontier = make(map[string]runState, len(runs))
-		for _, cr := range runs {
-			rs := runState{
-				state:   cr.State,
-				vals:    append([]int64(nil), cr.Vals...),
-				invalid: append([]bool(nil), cr.Invalid...),
-				binding: copyBinding(cr.Binding),
-			}
-			r.frontier[rs.key()] = rs
-		}
-		return nil
-	}
 	p, s := r.p, r.ps
 	W := len(p.vars)
 	s.cur.reset()

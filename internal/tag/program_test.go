@@ -1,29 +1,67 @@
 package tag
 
 import (
-	"bytes"
 	"errors"
+	"maps"
 	"math/rand"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/event"
 )
 
-// execModes are the two cores every equivalence test runs.
-var execModes = [2]engine.ExecMode{engine.ExecCompiled, engine.ExecInterp}
-
-func modeOpt(m engine.ExecMode) RunOptions {
-	return RunOptions{Engine: engine.Config{Mode: m}}
+// bruteMinOccurrence enumerates every injective binding of seq indexes to
+// the complex type's variables and keeps those that are occurrences
+// (ComplexType.IsOccurrence; no automaton involved). It returns the
+// earliest index at which an occurrence completes and the smallest
+// occurrence completing there, comparing bound indexes in sorted-variable
+// order; -1 and nil when the type does not occur.
+func bruteMinOccurrence(ct *core.ComplexType, seq event.Sequence) (int, map[string]int) {
+	vars := append([]core.Variable(nil), ct.Structure.Variables()...)
+	slices.Sort(vars)
+	idx := make([]int, len(vars))
+	var best []int
+	bestAt := -1
+	var rec func(k int)
+	rec = func(k int) {
+		if k == len(vars) {
+			b := core.Binding{}
+			for i, v := range vars {
+				b[v] = seq[idx[i]]
+			}
+			at := slices.Max(idx)
+			if ct.IsOccurrence(sys, b) && (best == nil || at < bestAt || at == bestAt && slices.Compare(idx, best) < 0) {
+				best, bestAt = append(best[:0], idx...), at
+			}
+			return
+		}
+		for i, e := range seq {
+			if e.Type == ct.Assign[vars[k]] && !slices.Contains(idx[:k], i) {
+				idx[k] = i
+				rec(k + 1)
+			}
+		}
+	}
+	rec(0)
+	if best == nil {
+		return -1, nil
+	}
+	w := make(map[string]int, len(vars))
+	for i, v := range vars {
+		w[string(v)] = best[i]
+	}
+	return bestAt, w
 }
 
-// TestExecModesEquivalentFuzz: the compiled program and the interpreter
-// agree on verdict, witness, stats and final runner snapshot over random
-// sequences (the committed in-package slice of the oracle's exec-equiv
-// contract).
-func TestExecModesEquivalentFuzz(t *testing.T) {
+// TestWitnessIsMinimalOccurrenceFuzz: over random diamond sequences the
+// batch run accepts on the event where the earliest brute-force occurrence
+// completes and reports the smallest occurrence completing there, and a
+// Runner fed the same events accepts on the same event with the same
+// binding.
+func TestWitnessIsMinimalOccurrenceFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	s := diamondStructure()
 	assign := map[core.Variable]event.Type{"X0": "a", "X1": "b", "X2": "c", "X3": "d"}
@@ -33,49 +71,40 @@ func TestExecModesEquivalentFuzz(t *testing.T) {
 		t.Fatal(err)
 	}
 	types := []event.Type{"a", "b", "c", "d"}
+	positives := 0
 	for trial := 0; trial < 200; trial++ {
 		seq := randomSeq(rng, types, 12, event.At(1996, 4, 1, 0, 0, 0), 20*86400)
-
-		wC, okC, rsC := a.FindOccurrence(sys, seq, modeOpt(engine.ExecCompiled))
-		wI, okI, rsI := a.FindOccurrence(sys, seq, modeOpt(engine.ExecInterp))
-		if okC != okI || rsC != rsI {
-			t.Fatalf("trial %d: compiled (%v,%+v) vs interpreted (%v,%+v)", trial, okC, rsC, okI, rsI)
+		wantAt, want := bruteMinOccurrence(ct, seq)
+		w, ok, rs := a.FindOccurrence(sys, seq, RunOptions{})
+		if ok != (want != nil) {
+			t.Fatalf("trial %d: FindOccurrence=%v, brute-force minimum %v", trial, ok, want)
 		}
-		if len(wC) != len(wI) {
-			t.Fatalf("trial %d: witnesses %v vs %v", trial, wC, wI)
+		if !ok {
+			continue
 		}
-		for k, v := range wC {
-			if wI[k] != v {
-				t.Fatalf("trial %d: witnesses %v vs %v", trial, wC, wI)
-			}
+		positives++
+		if rs.AcceptedAt != wantAt || !maps.Equal(w, want) {
+			t.Fatalf("trial %d: accepted at %d with %v, want %d with %v", trial, rs.AcceptedAt, w, wantAt, want)
 		}
-
-		var snaps [2][]byte
-		for i, m := range execModes {
-			r := a.NewRunner(sys, modeOpt(m))
-			for _, e := range seq {
-				r.Feed(e)
-			}
-			cp, err := r.Snapshot()
-			if err != nil {
-				t.Fatalf("trial %d: %s snapshot: %v", trial, m, err)
-			}
-			var buf bytes.Buffer
-			if err := cp.Encode(&buf); err != nil {
-				t.Fatal(err)
-			}
-			snaps[i] = buf.Bytes()
+		r := a.NewRunner(sys, RunOptions{})
+		for _, e := range seq {
+			r.Feed(e)
 		}
-		if !bytes.Equal(snaps[0], snaps[1]) {
-			t.Fatalf("trial %d: final snapshots differ:\n%s\nvs\n%s", trial, snaps[0], snaps[1])
+		if !r.Accepted() || r.Steps()-1 != wantAt || !maps.Equal(r.Binding(), want) {
+			t.Fatalf("trial %d: Runner accepted=%v at %d with %v, want %d with %v",
+				trial, r.Accepted(), r.Steps()-1, r.Binding(), wantAt, want)
 		}
+	}
+	if positives < 10 {
+		t.Fatalf("only %d of 200 sequences contain an occurrence", positives)
 	}
 }
 
-// TestCompiledBindingTieBreakQuirk: witness winner selection is defined by
-// bindingKey STRING order, where "a=12;" < "a=1;" (because '2' < ';'). Both
-// cores must pick the same — quirky — winner.
-func TestCompiledBindingTieBreakQuirk(t *testing.T) {
+// tieBreakTAG binds "a" on any a-event and accepts on a later "b";
+// tieBreakSeq feeds it x-events with "a" at indexes 1 and 12, then "b" at
+// index 13, so two runs reach the accepting state on the last event, one
+// binding a=1 and one a=12.
+func tieBreakTAG() *TAG {
 	a := NewTAG()
 	s0 := a.AddState("s0")
 	s1 := a.AddState("s1")
@@ -86,9 +115,10 @@ func TestCompiledBindingTieBreakQuirk(t *testing.T) {
 	a.AddTransition(Transition{From: s1, To: s1, Any: true, Guard: True{}})
 	a.AddTransition(Transition{From: s0, To: s1, Symbol: "a", Guard: True{}, Binds: "a"})
 	a.AddTransition(Transition{From: s1, To: acc, Symbol: "b", Guard: True{}})
+	return a
+}
 
-	// Events: "a" at indices 1 and 12, then "b". Two runs reach acc at the
-	// final event, binding a=1 and a=12; "a=12;" is the smaller key.
+func tieBreakSeq() event.Sequence {
 	var seq event.Sequence
 	base := event.At(1996, 4, 1, 0, 0, 0)
 	for i := 0; i < 13; i++ {
@@ -98,134 +128,62 @@ func TestCompiledBindingTieBreakQuirk(t *testing.T) {
 		}
 		seq = append(seq, event.Event{Type: typ, Time: base + int64(i)})
 	}
-	seq = append(seq, event.Event{Type: "b", Time: base + 13})
+	return append(seq, event.Event{Type: "b", Time: base + 13})
+}
 
-	for _, m := range execModes {
-		w, ok, _ := a.FindOccurrence(sys, seq, modeOpt(m))
-		if !ok || w["a"] != 12 {
-			t.Fatalf("%s: witness %v ok=%v, want a=12 (string-order winner)", m, w, ok)
-		}
+// TestCompiledBindingTieBreakQuirk: runs that meet in one state keep the
+// binding with the smaller event indexes, compared as numbers, so the
+// tie-break TAG reports a=1 — in the batch run and in the Runner. (Earlier
+// builds compared the bindings as "name=index;" strings, where "a=12;" <
+// "a=1;", and reported a=12.)
+func TestCompiledBindingTieBreakQuirk(t *testing.T) {
+	a, seq := tieBreakTAG(), tieBreakSeq()
+	w, ok, _ := a.FindOccurrence(sys, seq, RunOptions{})
+	if !ok || !maps.Equal(w, map[string]int{"a": 1}) {
+		t.Fatalf("batch witness %v ok=%v, want a=1", w, ok)
+	}
+	r := a.NewRunner(sys, RunOptions{})
+	for _, e := range seq {
+		r.Feed(e)
+	}
+	if !r.Accepted() || !maps.Equal(r.Binding(), map[string]int{"a": 1}) {
+		t.Fatalf("Runner witness %v accepted=%v, want a=1", r.Binding(), r.Accepted())
 	}
 }
 
-// TestCmpBindRowsMatchesBindingKey: the compiled comparator agrees in sign
-// with string comparison of the interpreter's bindingKey on random rows.
-func TestCmpBindRowsMatchesBindingKey(t *testing.T) {
-	a := NewTAG()
-	s0 := a.AddState("s0")
-	a.MarkStart(s0)
-	for _, v := range []string{"a", "ab", "b", "x9"} {
-		a.AddTransition(Transition{From: s0, To: s0, Any: true, Guard: True{}, Binds: v})
-	}
-	p := a.program()
-	if len(p.vars) != 4 {
-		t.Fatalf("program interned %d vars, want 4", len(p.vars))
-	}
-	rng := rand.New(rand.NewSource(7))
-	randRow := func() []int32 {
-		row := make([]int32, 4)
-		for i := range row {
-			if rng.Intn(3) == 0 {
-				row[i] = unbound
-			} else {
-				row[i] = int32(rng.Intn(200))
-			}
-		}
-		return row
-	}
-	toMap := func(row []int32) map[string]int {
-		m := map[string]int{}
-		for i, v := range row {
-			if v >= 0 {
-				m[p.vars[i]] = int(v)
-			}
-		}
-		return m
-	}
-	sign := func(x int) int {
-		switch {
-		case x < 0:
-			return -1
-		case x > 0:
-			return 1
-		}
-		return 0
-	}
-	for trial := 0; trial < 2000; trial++ {
-		ra, rb := randRow(), randRow()
-		got := sign(p.cmpBindRows(ra, rb))
-		want := sign(strings.Compare(bindingKey(toMap(ra)), bindingKey(toMap(rb))))
-		if got != want {
-			t.Fatalf("cmpBindRows(%v,%v)=%d, bindingKey order says %d (%q vs %q)",
-				ra, rb, got, want, bindingKey(toMap(ra)), bindingKey(toMap(rb)))
-		}
-	}
-}
-
-// TestCrossModeCheckpointRestore: a snapshot taken under one core restores
-// into the other and finishes on the same bytes as a straight run of the
-// destination core.
-func TestCrossModeCheckpointRestore(t *testing.T) {
-	ct, _ := core.NewComplexType(core.Fig1a(), core.Example1Assignment())
-	a, err := Compile(ct)
+// TestCrossBuildCheckpointRestore: testdata/tiebreak-checkpoint-v1.json is
+// the checkpoint an earlier build, one with the string-order tie-break,
+// wrote for the tie-break TAG after its first 13 events; its frontier
+// binds a=12. It restores here, and the final "b" accepts with the a=12
+// binding it carried — a valid witness and the same verdict — while a
+// fresh run reports a=1. This is why the tie-break change leaves
+// ExecSchemaVersion at 1.
+func TestCrossBuildCheckpointRestore(t *testing.T) {
+	f, err := os.Open("testdata/tiebreak-checkpoint-v1.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := fig1aScenario()
-	mid := len(seq) / 2
-
-	finalSnap := func(m engine.ExecMode) []byte {
-		r := a.NewRunner(sys, modeOpt(m))
-		for _, e := range seq {
-			r.Feed(e)
-		}
-		cp, err := r.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := cp.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+	defer f.Close()
+	cp, err := DecodeCheckpoint(f)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	for i, from := range execModes {
-		to := execModes[1-i]
-		r := a.NewRunner(sys, modeOpt(from))
-		for _, e := range seq[:mid] {
-			r.Feed(e)
-		}
-		cp, err := r.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := cp.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		dec, err := DecodeCheckpoint(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2, err := RestoreRunner(a, sys, modeOpt(to), dec)
-		if err != nil {
-			t.Fatalf("restoring %s snapshot into %s runner: %v", from, to, err)
-		}
-		for _, e := range seq[mid:] {
-			r2.Feed(e)
-		}
-		cp2, err := r2.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf2 bytes.Buffer
-		if err := cp2.Encode(&buf2); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf2.Bytes(), finalSnap(to)) {
-			t.Fatalf("%s snapshot resumed under %s diverges from a straight %s run", from, to, to)
-		}
+	a, seq := tieBreakTAG(), tieBreakSeq()
+	r, err := RestoreRunner(a, sys, RunOptions{}, cp)
+	if err != nil {
+		t.Fatalf("restoring the earlier build's checkpoint: %v", err)
+	}
+	if r.Steps() != 13 {
+		t.Fatalf("restored runner at step %d, want 13", r.Steps())
+	}
+	if accepted, ok := r.Feed(seq[13]); !accepted || !ok {
+		t.Fatalf("restored runner on the final b: accepted=%v ok=%v", accepted, ok)
+	}
+	if !maps.Equal(r.Binding(), map[string]int{"a": 12}) {
+		t.Fatalf("restored runner binding %v, want a=12 from the checkpoint", r.Binding())
+	}
+	if w, ok, _ := a.FindOccurrence(sys, seq, RunOptions{}); !ok || !maps.Equal(w, map[string]int{"a": 1}) {
+		t.Fatalf("fresh run witness %v ok=%v, want a=1", w, ok)
 	}
 }
 

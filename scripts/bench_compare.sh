@@ -11,10 +11,11 @@
 #   sh scripts/bench_compare.sh smoke    # -benchtime=1x, no gate (CI wiring)
 #   sh scripts/bench_compare.sh baseline # full run, store the result as the
 #                                        # baseline for future gates
-#   sh scripts/bench_compare.sh pr6      # compiled-vs-interpreted core and
-#                                        # conversion-table benchmarks; writes
-#                                        # BENCH_PR6.json and gates >=3x step
-#                                        # and >=5x Fig-3 cover speedups
+#   sh scripts/bench_compare.sh pr6      # TAG step and conversion-table
+#                                        # benchmarks; writes BENCH_PR6.json
+#                                        # and gates the step ceiling
+#                                        # (<=78826 ns/op) and the >=5x Fig-3
+#                                        # cover speedup
 #   sh scripts/bench_compare.sh pr6-smoke# short pr6 run; gates only the
 #                                        # compiled core's allocs/op
 #   sh scripts/bench_compare.sh pr7      # event-store append and recovery
@@ -295,7 +296,7 @@ fi
 # ---- PR-6: compiled execution core + periodic conversion tables ----------
 if [ "$MODE" = pr6 ] || [ "$MODE" = pr6-smoke ]; then
 	OUT="BENCH_PR6.json"
-	BENCHES='BenchmarkTAGStepSerialCompiled|BenchmarkTAGStepSerialInterp|BenchmarkCoverTableLookup|BenchmarkCoverDirect|BenchmarkFig3CoverTable|BenchmarkFig3CoverDirect'
+	BENCHES='BenchmarkTAGStepSerialCompiled|BenchmarkCoverTableLookup|BenchmarkCoverDirect|BenchmarkFig3CoverTable|BenchmarkFig3CoverDirect'
 	if [ "$MODE" = pr6-smoke ]; then
 		BENCHTIME="${BENCHTIME:-100x}"
 	else
@@ -319,8 +320,6 @@ if [ "$MODE" = pr6 ] || [ "$MODE" = pr6-smoke ]; then
 			printf "    \"%s\": {\"ns_op\": %s, \"allocs_op\": %s}%s\n", names[i], ns[i], allocs[i], (i+1<n ? "," : "")
 		printf "  }"
 		for (i = 0; i < n; i++) v[names[i]] = ns[i]
-		if (("BenchmarkTAGStepSerialInterp" in v) && v["BenchmarkTAGStepSerialCompiled"] > 0)
-			printf ",\n  \"step_speedup\": %.3f", v["BenchmarkTAGStepSerialInterp"] / v["BenchmarkTAGStepSerialCompiled"]
 		if (("BenchmarkFig3CoverDirect" in v) && v["BenchmarkFig3CoverTable"] > 0)
 			printf ",\n  \"fig3_cover_speedup\": %.3f", v["BenchmarkFig3CoverDirect"] / v["BenchmarkFig3CoverTable"]
 		if (("BenchmarkCoverDirect" in v) && v["BenchmarkCoverTableLookup"] > 0)
@@ -330,9 +329,9 @@ if [ "$MODE" = pr6 ] || [ "$MODE" = pr6-smoke ]; then
 	echo ">> wrote $OUT"
 	cat "$OUT"
 
-	# Alloc gate (both modes): the compiled core must stay lean. The whole
+	# Alloc gate (both modes): the TAG core must stay lean. The whole
 	# anchored batch (hundreds of runs) is one op; 800 allocs/op is ~2x the
-	# measured 315 and far under the interpreter's ~1500.
+	# 315 measured when the gate was set.
 	awk '
 	$1 ~ /^BenchmarkTAGStepSerialCompiled/ && $8 == "allocs/op" {
 		if ($7 + 0 > 800) {
@@ -350,19 +349,22 @@ if [ "$MODE" = pr6 ] || [ "$MODE" = pr6-smoke ]; then
 		exit 0
 	fi
 
-	# Speedup gates: ISSUE-6 acceptance is >=3x single-thread TAG stepping
-	# and >=5x on the Fig-3 cover conversion.
+	# Step ceiling: single-thread TAG stepping stays at or under 78826
+	# ns/op, the deleted interpreter's last recorded 236477 ns/op divided
+	# by the 3x speedup this gate used to demand of the compiled core.
+	# Fig-3 gate: the cover conversion through the tables stays >=5x
+	# faster than direct calendar arithmetic.
 	awk '
-	$1 == "\"step_speedup\":" { gsub(/,/, "", $2); step = $2 + 0 }
+	$1 == "\"BenchmarkTAGStepSerialCompiled\":" { gsub(/,/, "", $3); step = $3 + 0 }
 	$1 == "\"fig3_cover_speedup\":" { gsub(/,/, "", $2); fig3 = $2 + 0 }
 	END {
 		bad = 0
-		if (step < 3.0) { printf "TAG step speedup %.2fx < 3x\n", step; bad = 1 }
-		else printf "TAG step speedup: %.2fx (gate: >=3x)\n", step
+		if (step <= 0 || step > 78826) { printf "TAG step %.0f ns/op > 78826 (or missing)\n", step; bad = 1 }
+		else printf "TAG step: %.0f ns/op (gate: <=78826)\n", step
 		if (fig3 < 5.0) { printf "Fig-3 cover speedup %.2fx < 5x\n", fig3; bad = 1 }
 		else printf "Fig-3 cover speedup: %.2fx (gate: >=5x)\n", fig3
 		exit bad
-	}' "$OUT" || { echo "bench_compare: FAILED (pr6 speedup gate)" >&2; exit 1; }
+	}' "$OUT" || { echo "bench_compare: FAILED (pr6 step/cover gate)" >&2; exit 1; }
 	echo "bench_compare: pr6 OK"
 	exit 0
 fi

@@ -21,8 +21,8 @@ echo '>> tempobench (separate module: go vet + go test)'
 (cd tempobench && go vet . && go test .)
 echo '>> oracle smoke (differential contracts over 200 seeds)'
 go run ./cmd/tempofuzz -seeds "${ORACLE_SEEDS:-200}" -repro-dir "${TMPDIR:-/tmp}/oracle-smoke-repros"
-echo '>> exec-equiv oracle smoke (compiled vs interpreted core over 300 seeds)'
-go run ./cmd/tempofuzz -seeds "${EXEC_EQUIV_SEEDS:-300}" -contracts exec-equiv -repro-dir "${TMPDIR:-/tmp}/oracle-smoke-repros"
+echo '>> tag oracle smoke (TAG runs vs brute-force occurrences over 300 seeds)'
+go run ./cmd/tempofuzz -seeds "${TAG_SEEDS:-300}" -contracts tag -repro-dir "${TMPDIR:-/tmp}/oracle-smoke-repros"
 echo '>> incremental-equiv oracle smoke (incremental vs batch mining over 300 seeds)'
 go run ./cmd/tempofuzz -seeds "${INCR_EQUIV_SEEDS:-300}" -contracts incremental-equiv -repro-dir "${TMPDIR:-/tmp}/oracle-smoke-repros"
 echo '>> cluster-rebalance oracle smoke (router drain vs standalone over 300 seeds)'
@@ -41,7 +41,7 @@ CRASH_SWEEP_SEEDS="${CRASH_SWEEP_SEEDS:-60}" go test -count=1 -run 'TestCrashSwe
 go test -count=1 -run 'TestKillDuringAppend' ./cmd/tempod/
 echo '>> bench smoke (parallel scan, no gate)'
 sh scripts/bench_compare.sh smoke
-echo '>> bench smoke (compiled core, allocs/op gate)'
+echo '>> bench smoke (TAG core, allocs/op gate)'
 sh scripts/bench_compare.sh pr6-smoke
 echo '>> bench smoke (event store, allocs/op gate)'
 sh scripts/bench_compare.sh pr7-smoke
