@@ -28,6 +28,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -39,6 +40,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/event"
 	"repro/internal/mining"
+	"repro/internal/store"
 )
 
 func main() {
@@ -157,7 +159,11 @@ func run(out io.Writer, specPath, problemPath, seqPath, ref, gransFlag string, d
 			ds, stats, next, err = mining.OptimizedCheckpoint(sys, p, seq, opt)
 		}
 		if next != nil {
-			if serr := cli.SaveCheckpoint(cpPath, next.Encode); serr != nil {
+			var buf bytes.Buffer
+			if serr := next.Encode(&buf); serr != nil {
+				return serr
+			}
+			if serr := store.WriteFileAtomic(store.DirFS{}, cpPath, buf.Bytes()); serr != nil {
 				return serr
 			}
 			fmt.Fprintf(textw, "checkpoint written to %s (stage %s)\n", cpPath, next.Stage)

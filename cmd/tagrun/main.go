@@ -27,6 +27,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -37,6 +38,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/event"
 	"repro/internal/granularity"
+	"repro/internal/store"
 	"repro/internal/tag"
 )
 
@@ -235,7 +237,11 @@ func runStream(out, textw io.Writer, a *tag.TAG, sys *granularity.System, seq ev
 				if err != nil {
 					return err
 				}
-				if err := cli.SaveCheckpoint(cpPath, cp.Encode); err != nil {
+				var buf bytes.Buffer
+				if err := cp.Encode(&buf); err != nil {
+					return err
+				}
+				if err := store.WriteFileAtomic(store.DirFS{}, cpPath, buf.Bytes()); err != nil {
 					return err
 				}
 				fmt.Fprintf(textw, "checkpoint written to %s at event %d\n", cpPath, cp.Steps)

@@ -71,7 +71,6 @@ func main() {
 	maxSessions := flag.Int("max-sessions", 1024, "max live streaming sessions")
 	scanWorkers := flag.Int("workers", 0, "default TAG scan fan-out per mining job (0 = GOMAXPROCS)")
 	ckptEvery := flag.Int("checkpoint-every", 8, "rewrite a session's checkpoint every Nth fed event (the event log covers the gap)")
-	eventLog := flag.Bool("event-log", true, "keep durable per-session and per-job event logs under the state directory")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long a drain may wait for in-flight work")
 	peers := flag.String("peers", "", "router only: comma-separated name=url worker list")
 	quotasFlag := flag.String("tenant-quotas", "", "router only: per-tenant quotas, 'name=inflight,sessions,jobs;...' ('*' names the default)")
@@ -88,7 +87,7 @@ func main() {
 	switch *role {
 	case "standalone", "worker":
 		err = run(os.Stdout, *role == "worker", *addr, *data, *gransFlag, defines, *inflight, *queue,
-			*jobWorkers, *jobQueue, *maxSessions, *scanWorkers, *ckptEvery, *eventLog, *drainTimeout)
+			*jobWorkers, *jobQueue, *maxSessions, *scanWorkers, *ckptEvery, *drainTimeout)
 	case "router":
 		err = runRouter(os.Stdout, *addr, *peers, *quotasFlag, *stealEvery, *shutdownWorkers, *drainTimeout)
 	default:
@@ -101,7 +100,7 @@ func main() {
 }
 
 func run(out io.Writer, workerMode bool, addr, data, gransFlag string, defines []string, inflight, queue, jobWorkers, jobQueue,
-	maxSessions, scanWorkers, ckptEvery int, eventLog bool, drainTimeout time.Duration) error {
+	maxSessions, scanWorkers, ckptEvery int, drainTimeout time.Duration) error {
 	if data == "" {
 		return fmt.Errorf("-data is required")
 	}
@@ -120,7 +119,6 @@ func run(out io.Writer, workerMode bool, addr, data, gransFlag string, defines [
 		MaxSessions:     maxSessions,
 		ScanWorkers:     scanWorkers,
 		CheckpointEvery: ckptEvery,
-		NoEventLog:      !eventLog,
 	}
 	if workerMode {
 		cfg.Internal = true

@@ -7,54 +7,9 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+
+	"repro/internal/store"
 )
-
-// SaveCheckpoint writes a checkpoint file atomically: the encoder's output
-// goes to a temporary sibling which is fsynced and renamed over path, so a
-// crash mid-write can never leave a truncated checkpoint — the previous one
-// (or none) survives instead. The parent directory is fsynced after the
-// rename; without that, a power loss can forget the rename itself and
-// resurface the old checkpoint (or none) even though the call returned.
-func SaveCheckpoint(path string, encode func(io.Writer) error) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("cli: writing checkpoint: %w", err)
-	}
-	if err := encode(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("cli: encoding checkpoint: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("cli: syncing checkpoint: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("cli: closing checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("cli: installing checkpoint: %w", err)
-	}
-	if err := SyncDir(filepath.Dir(path)); err != nil {
-		return fmt.Errorf("cli: syncing checkpoint directory: %w", err)
-	}
-	return nil
-}
-
-// SyncDir fsyncs a directory so renames and creates inside it survive a
-// power loss.
-func SyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
 
 // CorruptCheckpointError reports a checkpoint file that exists but does
 // not decode — truncated, torn or otherwise damaged. LoadCheckpoint has
@@ -95,7 +50,7 @@ func LoadCheckpoint(path string, decode func(io.Reader) error) (loaded bool, err
 		quarantine := path + ".corrupt"
 		if rerr := os.Rename(path, quarantine); rerr == nil {
 			cerr.Quarantine = quarantine
-			SyncDir(filepath.Dir(path))
+			store.DirFS{}.SyncDir(filepath.Dir(path))
 		}
 		return false, cerr
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/event"
+	"repro/internal/store"
 )
 
 const rosterSpec = `name roster
@@ -145,9 +146,9 @@ func TestLoadSystemMalformedSpec(t *testing.T) {
 	}
 }
 
-// TestCheckpointHelpers covers the atomic save/load pair: missing files
-// report absent without error, writes land atomically, and decode failures
-// surface.
+// TestCheckpointHelpers covers LoadCheckpoint over the checkpoints the
+// CLIs write through store.WriteFileAtomic: missing files report absent
+// without error, writes land atomically, and decode failures surface.
 func TestCheckpointHelpers(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.ckpt")
@@ -155,35 +156,29 @@ func TestCheckpointHelpers(t *testing.T) {
 	if loaded || err != nil {
 		t.Fatalf("missing file: loaded=%v err=%v", loaded, err)
 	}
-	if err := SaveCheckpoint(path, func(w io.Writer) error {
-		_, err := w.Write([]byte("payload"))
-		return err
-	}); err != nil {
-		t.Fatal(err)
+	read := func() string {
+		t.Helper()
+		var got []byte
+		loaded, err := LoadCheckpoint(path, func(r io.Reader) error {
+			var rerr error
+			got, rerr = io.ReadAll(r)
+			return rerr
+		})
+		if !loaded || err != nil {
+			t.Fatalf("loaded=%v err=%v", loaded, err)
+		}
+		return string(got)
 	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatal("temporary file left behind")
-	}
-	var got []byte
-	loaded, err = LoadCheckpoint(path, func(r io.Reader) error {
-		var rerr error
-		got, rerr = io.ReadAll(r)
-		return rerr
-	})
-	if !loaded || err != nil || string(got) != "payload" {
-		t.Fatalf("loaded=%v err=%v got=%q", loaded, err, got)
-	}
-	// A failing encoder must not clobber the installed checkpoint.
-	if err := SaveCheckpoint(path, func(io.Writer) error { return os.ErrInvalid }); err == nil {
-		t.Fatal("failing encoder reported success")
-	}
-	loaded, err = LoadCheckpoint(path, func(r io.Reader) error {
-		var rerr error
-		got, rerr = io.ReadAll(r)
-		return rerr
-	})
-	if !loaded || err != nil || string(got) != "payload" {
-		t.Fatalf("failed save clobbered checkpoint: loaded=%v err=%v got=%q", loaded, err, got)
+	for _, payload := range []string{"payload", "second"} {
+		if err := store.WriteFileAtomic(store.DirFS{}, path, []byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+			t.Fatal("temporary file left behind")
+		}
+		if got := read(); got != payload {
+			t.Fatalf("read %q, wrote %q", got, payload)
+		}
 	}
 	// Decoder errors propagate.
 	if _, err := LoadCheckpoint(path, func(io.Reader) error { return os.ErrInvalid }); err == nil {

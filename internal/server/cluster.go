@@ -34,15 +34,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
 	"strconv"
 	"time"
-
-	"repro/internal/cli"
-	"repro/internal/store"
 )
 
 // Typed sentinels for the cluster protocol; handlers map them to
@@ -393,7 +389,7 @@ func (st *sessionStore) export(id string) (*SessionBundle, error) {
 			return nil, err
 		}
 	}
-	raw, err := os.ReadFile(st.path(id))
+	raw, err := os.ReadFile(st.records.path(id))
 	if err != nil {
 		s.sealed = wasSealed
 		return nil, err
@@ -418,76 +414,45 @@ func (st *sessionStore) unseal(id string) error {
 // record and event log land exactly where a restart would look for them,
 // then the ordinary restore path rebuilds the runner (fingerprint +
 // exec-schema validation included) and replays the log tail past the
-// checkpoint. It reports how many tail events were replayed. Any failure
-// removes the partial state; the exporter's sealed copy stays authoritative
-// until the router calls forget.
+// checkpoint. The bundle's ID is claimed like an assigned create's. It
+// reports how many tail events were replayed. Any failure removes the
+// partial state; the exporter's sealed copy stays authoritative until the
+// router calls forget.
 func (st *sessionStore) importSession(b *SessionBundle, logger *log.Logger) (int64, error) {
 	if b.ID == "" || len(b.Record) == 0 {
 		return 0, fmt.Errorf("server: session bundle needs an id and a record")
 	}
-	if err := validAssignedID(b.ID); err != nil {
-		return 0, err
-	}
-	var probe struct {
-		ID string `json:"id"`
-	}
-	if err := json.Unmarshal(b.Record, &probe); err != nil {
-		return 0, fmt.Errorf("server: session bundle record: %w", err)
-	}
-	if probe.ID != b.ID {
-		return 0, fmt.Errorf("server: session bundle %q holds the record of %q", b.ID, probe.ID)
-	}
 	st.mu.Lock()
-	if _, dup := st.sessions[b.ID]; dup {
-		st.mu.Unlock()
-		return 0, fmt.Errorf("server: session %q already exists", b.ID)
-	}
 	if len(st.sessions) >= st.max {
 		st.mu.Unlock()
 		return 0, fmt.Errorf("server: session limit (%d) reached: %w", st.max, errBusy)
 	}
+	_, err := st.records.claim(b.ID)
 	st.mu.Unlock()
-	path := st.path(b.ID)
-	if _, err := os.Stat(path); err == nil {
-		return 0, fmt.Errorf("server: session record %s already on disk", b.ID)
-	}
-	logDir := st.logDir(b.ID)
-	os.RemoveAll(logDir) // a crashed predecessor may have left a partial log
-	if len(b.Events) > 0 {
-		lg, _, err := store.Open(logDir, st.logOptions())
-		if err != nil {
-			return 0, err
-		}
-		seq := toSequence(b.Events)
-		const chunk = 512
-		for i := 0; i < len(seq); i += chunk {
-			end := min(i+chunk, len(seq))
-			if _, err := lg.Append(seq[i:end]...); err != nil {
-				lg.Close()
-				os.RemoveAll(logDir)
-				return 0, err
-			}
-		}
-		if err := lg.Close(); err != nil {
-			os.RemoveAll(logDir)
-			return 0, err
-		}
-	}
-	if err := cli.SaveCheckpoint(path, func(w io.Writer) error {
-		_, werr := w.Write(b.Record)
-		return werr
-	}); err != nil {
-		os.RemoveAll(logDir)
+	if err != nil {
 		return 0, err
 	}
-	_, replayed, err := st.restoreOne(b.ID+".json", logger)
+	replayed, err := st.install(b, logger)
 	if err != nil {
-		os.Remove(path)
-		os.RemoveAll(logDir)
+		st.records.remove(b.ID)
 		return 0, fmt.Errorf("server: restoring imported session %s: %w", b.ID, err)
 	}
 	st.counters.Count("server.sessions.imported", 1)
 	return replayed, nil
+}
+
+// install writes a claimed bundle's log and record and loads the session.
+func (st *sessionStore) install(b *SessionBundle, logger *log.Logger) (int64, error) {
+	if len(b.Events) > 0 {
+		if err := st.records.writeLog(b.ID, st.logOptions(), toSequence(b.Events)); err != nil {
+			return 0, err
+		}
+	}
+	if err := st.records.save(b.ID, b.Record); err != nil {
+		return 0, err
+	}
+	_, replayed, err := st.load(b.ID, logger)
+	return replayed, err
 }
 
 // --- job migration (jobStore) ---
@@ -571,23 +536,21 @@ func (st *jobStore) steal() (*JobBundle, error) {
 	return nil, nil
 }
 
-// inject installs a migrated or stolen job bundle. Non-terminal jobs are
-// re-enqueued exactly like a restart would; a session-attached job is
-// refused unless its session lives here (the router co-locates them). Any
-// failure leaves no local state, so the exporter can reinstate.
+// inject installs a migrated or stolen job bundle under the recordDir
+// claim rule. Non-terminal jobs are re-enqueued exactly like a restart
+// would; a session-attached job is refused unless its session lives here
+// (the router co-locates them). Any failure leaves no local state, so the
+// exporter can reinstate.
 func (st *jobStore) inject(b *JobBundle, haveSession func(string) bool) (*job, error) {
 	if b.ID == "" || len(b.Record) == 0 {
 		return nil, fmt.Errorf("server: job bundle needs an id and a record")
-	}
-	if err := validAssignedID(b.ID); err != nil {
-		return nil, err
 	}
 	var rec jobRecord
 	if err := decodeStrict(bytes.NewReader(b.Record), &rec); err != nil {
 		return nil, err
 	}
-	if rec.Version != 1 && rec.Version != jobRecordVersion {
-		return nil, fmt.Errorf("server: job bundle version %d, this build reads %d", rec.Version, jobRecordVersion)
+	if err := rec.check(); err != nil {
+		return nil, fmt.Errorf("server: job bundle: %w", err)
 	}
 	if rec.ID != b.ID {
 		return nil, fmt.Errorf("server: job bundle %q holds the record of %q", b.ID, rec.ID)
@@ -595,12 +558,7 @@ func (st *jobStore) inject(b *JobBundle, haveSession func(string) bool) (*job, e
 	if rec.EventsLogged > 0 {
 		return nil, fmt.Errorf("server: job bundle must inline its events (events_logged=%d)", rec.EventsLogged)
 	}
-	switch rec.State {
-	case JobQueued, JobRunning, JobDone, JobFailed, JobInterrupted:
-	default:
-		return nil, fmt.Errorf("server: job bundle has unknown state %q", rec.State)
-	}
-	pending := rec.State == JobQueued || rec.State == JobRunning || rec.State == JobInterrupted
+	pending := rec.pending()
 	if pending && rec.Request.SessionID != "" && haveSession != nil && !haveSession(rec.Request.SessionID) {
 		return nil, fmt.Errorf("server: job %s is attached to session %s, which does not live here", rec.ID, rec.Request.SessionID)
 	}
@@ -610,45 +568,23 @@ func (st *jobStore) inject(b *JobBundle, haveSession func(string) bool) (*job, e
 		st.mu.Unlock()
 		return nil, errDraining
 	}
-	if _, dup := st.jobs[rec.ID]; dup {
-		st.mu.Unlock()
-		return nil, fmt.Errorf("server: job %q already exists", rec.ID)
-	}
 	if pending && len(st.queue) >= st.depth {
 		st.mu.Unlock()
 		return nil, errBusy
 	}
-	st.jobs[rec.ID] = j
-	if n := idNumber(rec.ID, "j"); n >= st.nextID {
-		st.nextID = n + 1
+	if _, err := st.records.claim(rec.ID); err != nil {
+		st.mu.Unlock()
+		return nil, err
 	}
+	st.jobs[rec.ID] = j
 	st.mu.Unlock()
 
-	if !st.noLog && len(j.req.Events) > 0 {
-		if seq := toSequence(j.req.Events); seq.Validate() == nil {
-			if n, err := st.writeEventLog(rec.ID, seq); err == nil {
-				j.eventsLogged = n
-			} else {
-				st.counters.Count("server.jobs.log_degraded", 1)
-			}
-		}
-	}
-	if err := st.persist(j); err != nil {
-		st.mu.Lock()
-		delete(st.jobs, rec.ID)
-		st.mu.Unlock()
-		os.RemoveAll(st.logDir(rec.ID))
+	if err := st.install(j); err != nil {
 		return nil, err
 	}
 	st.counters.Count("server.jobs.injected", 1)
 	if pending {
-		st.mu.Lock()
-		j.mu.Lock()
-		j.state = JobQueued
-		j.mu.Unlock()
-		st.queue = append(st.queue, j)
-		st.cond.Signal()
-		st.mu.Unlock()
+		st.enqueue(j)
 	}
 	return j, nil
 }
@@ -665,8 +601,7 @@ func (st *jobStore) forget(id string) error {
 	if !ok {
 		return errNoJob
 	}
-	os.Remove(st.path(id))
-	os.RemoveAll(st.logDir(id))
+	st.records.remove(id)
 	return nil
 }
 

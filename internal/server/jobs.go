@@ -2,14 +2,10 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -22,8 +18,13 @@ import (
 	"repro/internal/store"
 )
 
-// errNoJob reports a refresh against an unknown job ID (HTTP 404).
-var errNoJob = errors.New("server: no such job")
+var (
+	// errNoJob reports a refresh against an unknown job ID (HTTP 404).
+	errNoJob = errors.New("server: no such job")
+	// errRefreshConflict reports a refresh the job cannot honor (HTTP 409
+	// "refresh_conflict").
+	errRefreshConflict = errors.New("refresh conflict")
+)
 
 // jobRecordVersion is the wire version of the on-disk job record. Version
 // 2 added EventsLogged: the input sequence lives in the job's append-only
@@ -88,43 +89,41 @@ func (j *job) status() *JobStatusResponse {
 type sessionTailFunc func(id string, from, fromTime int64) ([]store.Rec, int64, error)
 
 // jobStore owns the mining jobs: a bounded FIFO queue drained by a fixed
-// worker pool, with every state transition persisted to <dir>/<id>.json.
+// worker pool. A job's record is persisted when it is accepted (submit,
+// inject, refresh) and when an attempt ends.
 type jobStore struct {
 	mu             sync.Mutex
 	cond           *sync.Cond
-	dir            string
+	records        *recordDir
 	sys            *granularity.System
 	counters       *engine.Counters
 	depth          int
 	defaultWorkers int
-	noLog          bool
 	sessionTail    sessionTailFunc
 	jobs           map[string]*job
 	queue          []*job
 	running        int
 	closed         bool
-	nextID         int
 
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 }
 
-func newJobStore(dir string, sys *granularity.System, counters *engine.Counters, workers, depth, defaultScanWorkers int, noLog bool, sessionTail sessionTailFunc) (*jobStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+func newJobStore(dir string, sys *granularity.System, counters *engine.Counters, workers, depth, defaultScanWorkers int, sessionTail sessionTailFunc) (*jobStore, error) {
+	records, err := newRecordDir(dir, "job", "j")
+	if err != nil {
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	st := &jobStore{
-		dir:            dir,
+		records:        records,
 		sys:            sys,
 		counters:       counters,
 		depth:          depth,
 		defaultWorkers: defaultScanWorkers,
-		noLog:          noLog,
 		sessionTail:    sessionTail,
 		jobs:           make(map[string]*job),
-		nextID:         1,
 		ctx:            ctx,
 		cancel:         cancel,
 	}
@@ -141,14 +140,8 @@ func newJobStore(dir string, sys *granularity.System, counters *engine.Counters,
 // record stays small and the events are checksummed on disk. A full queue
 // rejects with errBusy; a draining store with errDraining. A non-empty
 // assignID (a router placing the job on its hash ring) overrides the local
-// j%06d scheme; it must be unused, live or on disk.
+// j%06d scheme under the recordDir claim rule.
 func (st *jobStore) submit(req *JobCreateRequest, assignID string) (*job, error) {
-	if err := validAssignedID(assignID); err != nil {
-		return nil, err
-	}
-	if assignID != "" && st.onDisk(assignID) {
-		return nil, fmt.Errorf("server: job %q already exists", assignID)
-	}
 	st.mu.Lock()
 	if st.closed {
 		st.mu.Unlock()
@@ -158,48 +151,54 @@ func (st *jobStore) submit(req *JobCreateRequest, assignID string) (*job, error)
 		st.mu.Unlock()
 		return nil, errBusy
 	}
-	id := assignID
-	if id == "" {
-		id = fmt.Sprintf("j%06d", st.nextID)
-		st.nextID++
-	} else if _, dup := st.jobs[id]; dup {
+	id, err := st.records.claim(assignID)
+	if err != nil {
 		st.mu.Unlock()
-		return nil, fmt.Errorf("server: job %q already exists", id)
+		return nil, err
 	}
 	j := &job{id: id, req: *req, state: JobQueued}
 	st.jobs[id] = j
 	st.mu.Unlock()
 
-	// The job is visible for polling but not yet queued: the log and the
-	// record land before a worker can pick it up.
-	if !st.noLog && len(req.Events) > 0 {
-		if seq := toSequence(req.Events); seq.Validate() == nil {
-			if n, err := st.writeEventLog(id, seq); err == nil {
-				j.eventsLogged = n
-			} else {
-				// Fall back to an inline sequence in the record.
-				st.counters.Count("server.jobs.log_degraded", 1)
-			}
+	if err := st.install(j); err != nil {
+		return nil, err
+	}
+	st.counters.Count("server.jobs.submitted", 1)
+	st.enqueue(j)
+	return j, nil
+}
+
+// install makes a newly claimed job durable before any worker can see it:
+// the input sequence goes to the job's event log (or, should that fail,
+// inline into the record), then the record. On failure the job and its
+// files are gone again.
+func (st *jobStore) install(j *job) error {
+	if seq := toSequence(j.req.Events); len(seq) > 0 && seq.Validate() == nil {
+		if err := st.records.writeLog(j.id, st.logOptions(), seq); err == nil {
+			j.eventsLogged = int64(len(seq))
+		} else {
+			st.counters.Count("server.jobs.log_degraded", 1)
 		}
 	}
 	if err := st.persist(j); err != nil {
 		st.mu.Lock()
-		delete(st.jobs, id)
+		delete(st.jobs, j.id)
 		st.mu.Unlock()
-		os.RemoveAll(st.logDir(id))
-		return nil, err
+		st.records.remove(j.id)
+		return err
 	}
-	st.counters.Count("server.jobs.submitted", 1)
+	return nil
+}
+
+// enqueue queues a pending job for the workers.
+func (st *jobStore) enqueue(j *job) {
 	st.mu.Lock()
+	j.mu.Lock()
+	j.state = JobQueued
+	j.mu.Unlock()
 	st.queue = append(st.queue, j)
 	st.cond.Signal()
 	st.mu.Unlock()
-	return j, nil
-}
-
-// logDir is the job's event-log directory.
-func (st *jobStore) logDir(id string) string {
-	return filepath.Join(st.dir, id+".events")
 }
 
 // logOptions configures a job event log. Job logs are written once at
@@ -213,37 +212,12 @@ func (st *jobStore) logOptions() store.Options {
 	}
 }
 
-// writeEventLog persists a job's input sequence to its own append-only
-// log. Appends go in chunks so large sequences roll across segments.
-func (st *jobStore) writeEventLog(id string, seq event.Sequence) (int64, error) {
-	dir := st.logDir(id)
-	os.RemoveAll(dir) // a crashed predecessor may have left a partial log
-	lg, _, err := store.Open(dir, st.logOptions())
-	if err != nil {
-		return 0, err
-	}
-	const chunk = 512
-	for i := 0; i < len(seq); i += chunk {
-		end := min(i+chunk, len(seq))
-		if _, err := lg.Append(seq[i:end]...); err != nil {
-			lg.Close()
-			os.RemoveAll(dir)
-			return 0, err
-		}
-	}
-	if err := lg.Close(); err != nil {
-		os.RemoveAll(dir)
-		return 0, err
-	}
-	return int64(len(seq)), nil
-}
-
 // readEventLog loads a job's input sequence back from its log, refusing a
 // log that is missing, degraded, or holds a different number of events
 // than the record claims — a job must re-run on its exact input or not at
 // all.
 func (st *jobStore) readEventLog(id string, want int64) (event.Sequence, store.Recovery, error) {
-	dir := st.logDir(id)
+	dir := st.records.logDir(id)
 	if _, err := os.Stat(dir); err != nil {
 		return nil, store.Recovery{}, fmt.Errorf("event log missing: %w", err)
 	}
@@ -273,7 +247,7 @@ func (st *jobStore) removeEventLog(j *job) {
 	had := j.eventsLogged > 0
 	j.mu.Unlock()
 	if had {
-		os.RemoveAll(st.logDir(j.id))
+		os.RemoveAll(st.records.logDir(j.id))
 	}
 }
 
@@ -334,17 +308,13 @@ func (st *jobStore) worker() {
 // the optimized pipeline under the attempt's engine config, and persist
 // the outcome. An interrupted attempt (budget, deadline or drain) parks
 // the job as "interrupted" with its checkpoint; the next daemon start
-// resumes it.
+// resumes it. The attempt's start is not persisted: restore re-queues a
+// pending record whatever state it names.
 func (st *jobStore) run(j *job) {
 	j.mu.Lock()
-	j.state = JobRunning
 	resume := j.cp
 	req := j.req
 	j.mu.Unlock()
-	if err := st.persist(j); err != nil {
-		st.fail(j, fmt.Errorf("persisting job: %w", err))
-		return
-	}
 	if req.SessionID != "" {
 		st.runIncremental(j, req, resume)
 		return
@@ -510,8 +480,23 @@ func (st *jobStore) runIncremental(j *job, req JobCreateRequest, resume *mining.
 // refresh re-enqueues a done session-attached job so its next attempt
 // re-mines only the suffix the session appended since the job's last
 // consolidation checkpoint. A job already queued or running is returned
-// as-is (refresh is idempotent while an attempt is pending).
+// as-is (refresh is idempotent while an attempt is pending). Either way
+// the job's record is persisted before refresh returns, so an
+// acknowledged refresh survives a crash: restore re-queues the record
+// instead of keeping the old result.
 func (st *jobStore) refresh(id string) (*job, error) {
+	j, err := st.requeue(id)
+	if err != nil {
+		return nil, err
+	}
+	if err := st.persist(j); err != nil {
+		return nil, fmt.Errorf("server: persisting job %s: %w", id, err)
+	}
+	return j, nil
+}
+
+// requeue is refresh's state change, under st.mu.
+func (st *jobStore) requeue(id string) (*job, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	j, ok := st.jobs[id]
@@ -522,25 +507,19 @@ func (st *jobStore) refresh(id string) (*job, error) {
 		return nil, errDraining
 	}
 	j.mu.Lock()
-	if j.exported {
-		j.mu.Unlock()
+	defer j.mu.Unlock()
+	switch {
+	case j.exported:
 		return nil, fmt.Errorf("server: job %s is mid-migration: %w", id, errMigrating)
-	}
-	if j.req.SessionID == "" {
-		j.mu.Unlock()
-		return nil, fmt.Errorf("server: job %s is not attached to a session", id)
-	}
-	if j.state == JobQueued || j.state == JobRunning {
-		j.mu.Unlock()
+	case j.req.SessionID == "":
+		return nil, fmt.Errorf("server: job %s is not attached to a session: %w", id, errRefreshConflict)
+	case j.state == JobQueued || j.state == JobRunning:
 		return j, nil
-	}
-	if len(st.queue) >= st.depth {
-		j.mu.Unlock()
+	case len(st.queue) >= st.depth:
 		return nil, errBusy
 	}
 	j.state = JobQueued
 	j.errMsg = ""
-	j.mu.Unlock()
 	st.queue = append(st.queue, j)
 	st.cond.Signal()
 	st.counters.Count("server.jobs.refreshed", 1)
@@ -559,33 +538,6 @@ func (st *jobStore) fail(j *job, err error) {
 	if st.persist(j) == nil {
 		st.removeEventLog(j)
 	}
-}
-
-// path is the job's record file.
-func (st *jobStore) path(id string) string {
-	return filepath.Join(st.dir, id+".json")
-}
-
-// onDisk reports whether a record or event log for id is on disk. A job
-// a restart did not restore keeps both, so its ID stays taken: a new job
-// under it would overwrite the record and replace the log.
-func (st *jobStore) onDisk(id string) bool {
-	for _, p := range []string{st.path(id), st.logDir(id)} {
-		if _, err := os.Stat(p); err == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// reserveID keeps the local j%06d scheme above id, the ID of a record or
-// log that restore left on disk.
-func (st *jobStore) reserveID(id string) {
-	st.mu.Lock()
-	if n := idNumber(id, "j"); n >= st.nextID {
-		st.nextID = n + 1
-	}
-	st.mu.Unlock()
 }
 
 // persist writes the job's record atomically. When the input sequence is
@@ -610,118 +562,80 @@ func (st *jobStore) persist(j *job) error {
 	if rec.EventsLogged > 0 {
 		rec.Request.Events = nil
 	}
-	return cli.SaveCheckpoint(st.path(rec.ID), func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(&rec)
-	})
+	return st.records.save(rec.ID, &rec)
 }
 
-// restore reloads job records from disk. Finished jobs stay pollable;
-// queued, interrupted and (crashed mid-)running jobs are re-enqueued in ID
-// order — interrupted ones resume from their checkpoint, and their input
-// sequences come back from the per-job event logs. Records that fail to
-// decode are quarantined to <name>.corrupt; other unrestorable records are
-// skipped with a log line, their file and log left in place and their ID
-// kept out of reuse. Orphaned event-log directories (their record gone)
-// are swept away. It reports the aggregate log recovery and how many jobs
-// came back.
+// restore reloads job records from disk through the recordDir restore
+// walk. Finished jobs stay pollable; queued, interrupted and (crashed
+// mid-)running jobs are re-enqueued in ID order — interrupted ones resume
+// from their checkpoint, and their input sequences come back from the
+// per-job event logs. It reports the aggregate log recovery and how many
+// jobs came back.
 func (st *jobStore) restore(logger *log.Logger) (agg store.Recovery, restored int, err error) {
-	entries, err := os.ReadDir(st.dir)
-	if err != nil {
-		return agg, 0, err
-	}
-	var names, logDirs []string
-	for _, e := range entries {
-		switch {
-		case !e.IsDir() && strings.HasSuffix(e.Name(), ".json"):
-			names = append(names, e.Name())
-		case e.IsDir() && strings.HasSuffix(e.Name(), ".events"):
-			logDirs = append(logDirs, e.Name())
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		rec, rerr := st.restoreOne(name)
+	restored, err = st.records.restore(logger, func(id string) error {
+		rec, err := st.load(id)
 		agg.Add(rec)
-		if rerr != nil {
-			logger.Printf("job record %s not restored: %v", name, rerr)
-			st.reserveID(strings.TrimSuffix(name, ".json"))
-			continue
-		}
-		restored++
-	}
-	for _, d := range logDirs {
-		id := strings.TrimSuffix(d, ".events")
-		if _, serr := os.Stat(st.path(id)); serr == nil {
-			continue
-		}
-		// Keep the log when its record was quarantined — it is evidence.
-		if _, serr := os.Stat(st.path(id) + ".corrupt"); serr == nil {
-			st.reserveID(id)
-			continue
-		}
-		os.RemoveAll(filepath.Join(st.dir, d))
-	}
-	return agg, restored, nil
+		return err
+	})
+	return agg, restored, err
 }
 
-func (st *jobStore) restoreOne(name string) (store.Recovery, error) {
-	path := filepath.Join(st.dir, name)
-	var rec jobRecord
-	loaded, err := cli.LoadCheckpoint(path, func(r io.Reader) error {
-		dec := json.NewDecoder(r)
-		dec.DisallowUnknownFields()
-		return dec.Decode(&rec)
-	})
-	if err != nil {
-		return store.Recovery{}, err
-	}
-	if !loaded {
-		return store.Recovery{}, fmt.Errorf("record vanished during restore")
-	}
+// check refuses a record of another build or with an unknown state.
+func (rec *jobRecord) check() error {
 	if rec.Version != 1 && rec.Version != jobRecordVersion {
-		return store.Recovery{}, fmt.Errorf("job record version %d, this build reads %d", rec.Version, jobRecordVersion)
+		return fmt.Errorf("job record version %d, this build reads %d", rec.Version, jobRecordVersion)
 	}
 	switch rec.State {
 	case JobQueued, JobRunning, JobDone, JobFailed, JobInterrupted:
-	default:
-		return store.Recovery{}, fmt.Errorf("job record has unknown state %q", rec.State)
+		return nil
 	}
-	j := &job{id: rec.ID, req: rec.Request, eventsLogged: rec.EventsLogged, state: rec.State, errMsg: rec.Error, result: rec.Result, cp: rec.Checkpoint}
+	return fmt.Errorf("job record has unknown state %q", rec.State)
+}
+
+// pending reports whether the record's job still has an attempt to run.
+func (rec *jobRecord) pending() bool {
+	return rec.State == JobQueued || rec.State == JobRunning || rec.State == JobInterrupted
+}
+
+// load rebuilds the job stored under id (claimed by the caller), making it
+// pollable and re-queueing it when it is pending.
+func (st *jobStore) load(id string) (store.Recovery, error) {
+	var rec jobRecord
+	if err := st.records.load(id, &rec); err != nil {
+		return store.Recovery{}, err
+	}
+	if rec.ID != id {
+		return store.Recovery{}, fmt.Errorf("record of job %s holds id %q", id, rec.ID)
+	}
+	if err := rec.check(); err != nil {
+		return store.Recovery{}, err
+	}
+	j := &job{id: id, req: rec.Request, eventsLogged: rec.EventsLogged, state: rec.State, errMsg: rec.Error, result: rec.Result, cp: rec.Checkpoint}
 	var srec store.Recovery
-	switch rec.State {
-	case JobQueued, JobRunning, JobInterrupted:
+	if rec.pending() {
 		if rec.EventsLogged > 0 {
-			seq, lrec, lerr := st.readEventLog(rec.ID, rec.EventsLogged)
+			seq, lrec, lerr := st.readEventLog(id, rec.EventsLogged)
 			srec = lrec
 			if lerr != nil {
 				return srec, fmt.Errorf("reading event log: %w", lerr)
 			}
 			j.req.Events = toItems(seq)
 		}
-	default:
+	} else {
 		// Terminal jobs no longer need their input; drop any leftover log
 		// (the daemon may have crashed between persisting the terminal
 		// record and removing the log).
-		os.RemoveAll(st.logDir(rec.ID))
+		os.RemoveAll(st.records.logDir(id))
 	}
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	if _, dup := st.jobs[rec.ID]; dup {
-		return srec, fmt.Errorf("duplicate job id %s", rec.ID)
-	}
-	st.jobs[rec.ID] = j
-	if n := idNumber(rec.ID, "j"); n >= st.nextID {
-		st.nextID = n + 1
-	}
-	switch rec.State {
-	case JobQueued, JobRunning, JobInterrupted:
-		// A record still marked running means the previous daemon died
-		// mid-attempt; its checkpoint (if any) is the last persisted one.
-		j.state = JobQueued
-		st.queue = append(st.queue, j)
-		st.cond.Signal()
+	st.jobs[id] = j
+	st.mu.Unlock()
+	if rec.pending() {
+		// A record marked running (older builds persisted each attempt's
+		// start; a refresh persists a running job as it finds it) means the
+		// daemon died mid-attempt; its checkpoint (if any) is the last
+		// persisted one.
+		st.enqueue(j)
 		st.counters.Count("server.jobs.requeued", 1)
 	}
 	return srec, nil

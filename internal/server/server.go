@@ -43,15 +43,11 @@ type Config struct {
 	JobQueueDepth int
 	// MaxSessions bounds live streaming sessions (default 1024).
 	MaxSessions int
-	// CheckpointEvery strides session checkpoints: with the event log on,
-	// a session's JSON record is rewritten every Nth fed event instead of
-	// on every batch (default 8). Recovery replays the log tail past the
-	// last checkpoint, so the two together lose nothing.
+	// CheckpointEvery strides session checkpoints: a session's JSON record
+	// is rewritten every Nth fed event instead of on every batch (default
+	// 8). Recovery replays the event-log tail past the last checkpoint, so
+	// the two together lose nothing.
 	CheckpointEvery int
-	// NoEventLog disables the durable per-session and per-job event logs
-	// under DataDir, reverting to checkpoint-per-feed persistence and
-	// inline job sequences. Existing logs are absorbed on the next start.
-	NoEventLog bool
 	// ScanWorkers is the default per-job TAG scan fan-out when neither
 	// the request nor the problem spec sets one (default
 	// cli.ResolveWorkers: GOMAXPROCS).
@@ -145,7 +141,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	counters := engine.NewCounters()
-	sessions, err := newSessionStore(filepath.Join(cfg.DataDir, "sessions"), sys, counters, cfg.MaxSessions, cfg.CheckpointEvery, cfg.NoEventLog)
+	sessions, err := newSessionStore(filepath.Join(cfg.DataDir, "sessions"), sys, counters, cfg.MaxSessions, cfg.CheckpointEvery)
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +149,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	jobs, err := newJobStore(filepath.Join(cfg.DataDir, "jobs"), sys, counters, cfg.JobWorkers, cfg.JobQueueDepth, cfg.ScanWorkers, cfg.NoEventLog, sessions.tail)
+	jobs, err := newJobStore(filepath.Join(cfg.DataDir, "jobs"), sys, counters, cfg.JobWorkers, cfg.JobQueueDepth, cfg.ScanWorkers, sessions.tail)
 	if err != nil {
 		return nil, err
 	}
@@ -435,9 +431,9 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 
 // handleJobRefresh re-enqueues a done session-attached job: the next
 // attempt re-mines only the suffix the session appended since the job's
-// last consolidation checkpoint. A refresh the job cannot honor (detached
-// job, failed job, exported job) answers 409 with a structured
-// "refresh_conflict" error body.
+// last consolidation checkpoint. A detached job answers 409 with a
+// structured "refresh_conflict" error body, a job mid-migration 409
+// "migrating".
 func (s *Server) handleJobRefresh(w http.ResponseWriter, r *http.Request) {
 	if !s.fenceEpoch(w, r) {
 		return
@@ -464,8 +460,11 @@ func (s *Server) handleJobRefresh(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, errMigrating):
 		s.writeCodedError(w, http.StatusConflict, CodeMigrating, err)
 		return
-	default:
+	case errors.Is(err, errRefreshConflict):
 		s.writeCodedError(w, http.StatusConflict, CodeRefreshConflict, err)
+		return
+	default:
+		s.writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	s.writeJSON(w, http.StatusAccepted, j.status())

@@ -5,6 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -340,7 +343,7 @@ func TestJobLifecycle(t *testing.T) {
 func TestJobQueueFull(t *testing.T) {
 	srv, ts := newTestServer(t, nil)
 	srv.jobs.shutdown()
-	idle, err := newJobStore(t.TempDir(), srv.sys, srv.counters, 0, 1, 0, false, nil)
+	idle, err := newJobStore(t.TempDir(), srv.sys, srv.counters, 0, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -854,9 +857,13 @@ func TestSessionLogDamagedReset(t *testing.T) {
 	ts1.Close()
 	srv1.jobs.shutdown()
 
-	// Destroy the log: now it holds fewer records than the checkpoint covers.
+	// Empty the log: now it holds fewer records than the checkpoint covers.
+	// (A missing log is a checkpoint-only record, which is not set aside.)
 	logDir := filepath.Join(dir, "sessions", cr.ID+".events")
 	if err := os.RemoveAll(logDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(logDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
 
@@ -932,44 +939,72 @@ func TestJobEventLogLifecycle(t *testing.T) {
 	}
 }
 
-// TestNoEventLogMigration: a daemon restarted with the event log disabled
-// absorbs existing session logs into covering checkpoints and removes them.
-func TestNoEventLogMigration(t *testing.T) {
+// TestCheckpointOnlyRecordUpgrade: a data dir written with the event log
+// switched off holds session records and no logs. The fixture is such a
+// record after "a" and "x", next to the view the writing build served. It
+// restores to that view with nothing set aside, and the fresh log it
+// starts carries a later feed through a crash.
+func TestCheckpointOnlyRecordUpgrade(t *testing.T) {
 	dir := t.TempDir()
-	srv1, err := New(Config{DataDir: dir, CheckpointEvery: 100})
-	if err != nil {
+	sessDir := filepath.Join(dir, "sessions")
+	if err := os.MkdirAll(sessDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	ts1 := httptest.NewServer(srv1.Handler())
-	cr := createSession(t, ts1.URL, sessionSpec)
-	t0 := event.At(1996, 7, 1, 9, 0, 0)
-	readBody(t, post(t, ts1.URL+"/v1/tag/sessions/"+cr.ID+"/events",
-		eventsBody(EventItem{Time: t0, Type: "a"}, EventItem{Time: t0 + 60, Type: "b"})))
-	before := readBody(t, get(t, ts1.URL+"/v1/tag/sessions/"+cr.ID))
+	if err := os.WriteFile(filepath.Join(sessDir, "s000001.json"), mustReadFile(t, "testdata/checkpoint-only/s000001.json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	start := func() (*Server, *httptest.Server) {
+		srv, err := New(Config{DataDir: dir, CheckpointEvery: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv, httptest.NewServer(srv.Handler())
+	}
+	srv1, ts1 := start()
+	view, want := readBody(t, get(t, ts1.URL+"/v1/tag/sessions/s000001")), mustReadFile(t, "testdata/checkpoint-only/s000001.view.json")
+	if !bytes.Equal(view, want) {
+		t.Fatalf("upgraded session differs:\nwant:\n%s\ngot:\n%s", want, view)
+	}
+	if _, err := os.Stat(filepath.Join(sessDir, "s000001.events.damaged")); !os.IsNotExist(err) {
+		t.Fatalf("upgrade set a log aside: %v", err)
+	}
+	if got := srv1.counters.Get("server.sessions.log_reset"); got != 0 {
+		t.Fatalf("server.sessions.log_reset = %d, want 0", got)
+	}
+	// Under the stride the feed lands in the log only; then a crash.
+	feedSession(t, ts1.URL, "s000001", EventItem{Time: event.At(1996, 7, 1, 10, 0, 0), Type: "b"})
+	before := readBody(t, get(t, ts1.URL+"/v1/tag/sessions/s000001"))
 	ts1.Close()
 	srv1.jobs.shutdown()
 
-	srv2, err := New(Config{DataDir: dir, NoEventLog: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts2 := httptest.NewServer(srv2.Handler())
+	srv2, ts2 := start()
 	defer ts2.Close()
 	defer srv2.jobs.shutdown()
-	after := readBody(t, get(t, ts2.URL+"/v1/tag/sessions/"+cr.ID))
-	if !bytes.Equal(before, after) {
-		t.Fatalf("migrated session differs:\nbefore:\n%s\nafter:\n%s", before, after)
+	if after := readBody(t, get(t, ts2.URL+"/v1/tag/sessions/s000001")); !bytes.Equal(before, after) {
+		t.Fatalf("session after the second restart differs:\nbefore:\n%s\nafter:\n%s", before, after)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "sessions", cr.ID+".events")); !os.IsNotExist(err) {
-		t.Fatalf("event log survived NoEventLog migration: %v", err)
+	if !bytes.Contains(before, []byte(`"events": 3`)) {
+		t.Fatalf("the feed after the upgrade was not consumed:\n%s", before)
 	}
-	var rec sessionRecord
-	if err := json.Unmarshal(mustReadFile(t, filepath.Join(dir, "sessions", cr.ID+".json")), &rec); err != nil {
-		t.Fatal(err)
+}
+
+// keptFiles reads the record of id under dir, quarantined or not, and
+// every file of its event log, keyed by path.
+func keptFiles(t *testing.T, dir, id string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	for _, root := range []string{id + ".json", id + ".json.corrupt", id + ".events"} {
+		err := filepath.Walk(filepath.Join(dir, root), func(p string, info os.FileInfo, err error) error {
+			if err == nil && !info.IsDir() {
+				files[p] = string(mustReadFile(t, p))
+			}
+			return err
+		})
+		if err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
 	}
-	if rec.Events != 2 {
-		t.Fatalf("migrated checkpoint covers %d events, want 2", rec.Events)
-	}
+	return files
 }
 
 // TestRestoreQuarantineAndOrphanSweep: a corrupt session record is
@@ -1056,22 +1091,7 @@ func TestRestoreSkippedSessionKeepsID(t *testing.T) {
 	ts1.Close()
 	srv1.jobs.shutdown()
 	sessDir := filepath.Join(dir, "sessions")
-	snapshot := func() map[string]string {
-		files := map[string]string{}
-		for _, root := range []string{old.ID + ".json", old.ID + ".events"} {
-			err := filepath.Walk(filepath.Join(sessDir, root), func(p string, info os.FileInfo, err error) error {
-				if err == nil && !info.IsDir() {
-					files[p] = string(mustReadFile(t, p))
-				}
-				return err
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		return files
-	}
-	before := snapshot()
+	before := keptFiles(t, sessDir, old.ID)
 
 	srv2, ts2 := start("group(hour, 3)")
 	if got := srv2.sessions.count(); got != 0 {
@@ -1089,14 +1109,8 @@ func TestRestoreSkippedSessionKeepsID(t *testing.T) {
 	}
 	ts2.Close()
 	srv2.jobs.shutdown()
-	after := snapshot()
-	if len(after) != len(before) {
-		t.Fatalf("skipped session's files changed: %d before, %d after", len(before), len(after))
-	}
-	for p, b := range before {
-		if after[p] != b {
-			t.Fatalf("skipped session's %s changed", p)
-		}
+	if after := keptFiles(t, sessDir, old.ID); !maps.Equal(before, after) {
+		t.Fatalf("skipped session's files changed:\nbefore: %v\nafter: %v", before, after)
 	}
 
 	srv3, ts3 := start("group(hour, 2)")
@@ -1142,12 +1156,47 @@ func TestJobPersistSerialized(t *testing.T) {
 		t.Fatalf("concurrent persist: %v", err)
 	}
 	var rec jobRecord
-	if err := json.Unmarshal(mustReadFile(t, srv.jobs.path(j.id)), &rec); err != nil {
+	if err := json.Unmarshal(mustReadFile(t, srv.jobs.records.path(j.id)), &rec); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Error != j.errMsg {
 		t.Fatalf("record ends at %q, the job at %q", rec.Error, j.errMsg)
 	}
+}
+
+// skipJobRecord leaves a queued job's record and event log under
+// dir/jobs, the record's state rewritten to one restore does not know,
+// and returns the job's ID.
+func skipJobRecord(t *testing.T, dir string) string {
+	t.Helper()
+	jobsDir := filepath.Join(dir, "jobs")
+	var req JobCreateRequest
+	if err := json.Unmarshal(jobRequestJSON(t, ""), &req); err != nil {
+		t.Fatal(err)
+	}
+	// A store with no workers leaves the job queued, its record and event
+	// log on disk.
+	idle, err := newJobStore(jobsDir, granularity.Default(), engine.NewCounters(), 0, 4, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := idle.submit(&req, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle.shutdown()
+	recPath := filepath.Join(jobsDir, j.id+".json")
+	data := mustReadFile(t, recPath)
+	if !bytes.Contains(data, []byte(`"state": "queued"`)) {
+		t.Fatalf("record of the queued job:\n%s", data)
+	}
+	if err := os.WriteFile(recPath, bytes.Replace(data, []byte(`"state": "queued"`), []byte(`"state": "paused"`), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if files := keptFiles(t, jobsDir, j.id); len(files) < 2 {
+		t.Fatalf("expected the record and a non-empty event log, found %d file(s)", len(files))
+	}
+	return j.id
 }
 
 // TestRestoreSkippedJobKeepsID: a job record that restore skips (here one
@@ -1157,48 +1206,8 @@ func TestJobPersistSerialized(t *testing.T) {
 func TestRestoreSkippedJobKeepsID(t *testing.T) {
 	dir := t.TempDir()
 	jobsDir := filepath.Join(dir, "jobs")
-	var req JobCreateRequest
-	if err := json.Unmarshal(jobRequestJSON(t, ""), &req); err != nil {
-		t.Fatal(err)
-	}
-	// A store with no workers leaves the job queued, its record and event
-	// log on disk.
-	idle, err := newJobStore(jobsDir, granularity.Default(), engine.NewCounters(), 0, 4, 0, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := idle.submit(&req, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	idle.shutdown()
-	recPath := filepath.Join(jobsDir, old.id+".json")
-	data := mustReadFile(t, recPath)
-	if !bytes.Contains(data, []byte(`"state": "queued"`)) {
-		t.Fatalf("record of the queued job:\n%s", data)
-	}
-	if err := os.WriteFile(recPath, bytes.Replace(data, []byte(`"state": "queued"`), []byte(`"state": "paused"`), 1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	snapshot := func() map[string]string {
-		files := map[string]string{}
-		for _, root := range []string{old.id + ".json", old.id + ".events"} {
-			err := filepath.Walk(filepath.Join(jobsDir, root), func(p string, info os.FileInfo, err error) error {
-				if err == nil && !info.IsDir() {
-					files[p] = string(mustReadFile(t, p))
-				}
-				return err
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		return files
-	}
-	before := snapshot()
-	if len(before) < 2 {
-		t.Fatalf("expected the record and a non-empty event log, found %d file(s)", len(before))
-	}
+	oldID := skipJobRecord(t, dir)
+	before := keptFiles(t, jobsDir, oldID)
 
 	srv, err := New(Config{DataDir: dir})
 	if err != nil {
@@ -1207,30 +1216,141 @@ func TestRestoreSkippedJobKeepsID(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer srv.jobs.shutdown()
 	defer ts.Close()
-	if _, ok := srv.jobs.get(old.id); ok {
-		t.Fatalf("restored job %s with an unknown state", old.id)
+	if _, ok := srv.jobs.get(oldID); ok {
+		t.Fatalf("restored job %s with an unknown state", oldID)
 	}
 	resp := post(t, ts.URL+"/v1/mining/jobs", jobRequestJSON(t, ""))
 	var st JobStatusResponse
 	if err := json.Unmarshal(readBody(t, resp), &st); err != nil || resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d, %v", resp.StatusCode, err)
 	}
-	if st.ID == old.id {
-		t.Fatalf("new job reused the skipped job's id %s", old.id)
+	if st.ID == oldID {
+		t.Fatalf("new job reused the skipped job's id %s", oldID)
 	}
 	resp = postJSON(t, ts.URL+"/v1/mining/jobs", json.RawMessage(jobRequestJSON(t, "")),
-		map[string]string{AssignIDHeader: old.id})
+		map[string]string{AssignIDHeader: oldID})
 	if body := readBody(t, resp); resp.StatusCode == http.StatusAccepted || !bytes.Contains(body, []byte("already exists")) {
 		t.Fatalf("assigned submit over a skipped record: status %d: %s", resp.StatusCode, body)
 	}
 	pollJob(t, ts.URL, st.ID, func(js *JobStatusResponse) bool { return js.State == JobDone })
-	after := snapshot()
-	if len(after) != len(before) {
-		t.Fatalf("skipped job's files changed: %d before, %d after", len(before), len(after))
+	if after := keptFiles(t, jobsDir, oldID); !maps.Equal(before, after) {
+		t.Fatalf("skipped job's files changed:\nbefore: %v\nafter: %v", before, after)
 	}
-	for p, b := range before {
-		if after[p] != b {
-			t.Fatalf("skipped job's %s changed", p)
+}
+
+// TestJobImportRefusedOverSkippedRecord: a migration import claims its ID
+// like an assigned submit, so an import under the ID of a job record that
+// restore skipped is refused and the record and its event log stay
+// byte-identical.
+func TestJobImportRefusedOverSkippedRecord(t *testing.T) {
+	dir := t.TempDir()
+	jobsDir := filepath.Join(dir, "jobs")
+	oldID := skipJobRecord(t, dir)
+	before := keptFiles(t, jobsDir, oldID)
+
+	srv, err := New(Config{DataDir: dir, Internal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer srv.jobs.shutdown()
+	defer ts.Close()
+	var req JobCreateRequest
+	if err := json.Unmarshal(jobRequestJSON(t, ""), &req); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := json.Marshal(jobRecord{Version: jobRecordVersion, ID: oldID, Request: req, State: JobQueued})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := postJSON(t, ts.URL+"/internal/jobs/import", JobBundle{ID: oldID, Record: rec}, nil)
+	if body := readBody(t, resp); resp.StatusCode != http.StatusConflict || !bytes.Contains(body, []byte("already exists")) {
+		t.Fatalf("import over a skipped record: status %d: %s", resp.StatusCode, body)
+	}
+	if after := keptFiles(t, jobsDir, oldID); !maps.Equal(before, after) {
+		t.Fatalf("skipped job's files changed:\nbefore: %v\nafter: %v", before, after)
+	}
+}
+
+// TestSessionImportRefusedOverQuarantinedRecord: a session record that
+// does not decode is quarantined with its event log kept as evidence. A
+// migration import under its ID is refused like an assigned create, and
+// the log stays.
+func TestSessionImportRefusedOverQuarantinedRecord(t *testing.T) {
+	dir := t.TempDir()
+	sessDir := filepath.Join(dir, "sessions")
+	if err := os.MkdirAll(filepath.Join(sessDir, "s000007.events"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string]string{"s000007.json": "torn gib", "s000007.events/evidence": "kept"} {
+		if err := os.WriteFile(filepath.Join(sessDir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
 		}
+	}
+	_, ts := newWorkerServer(t, func(c *Config) { c.DataDir = dir })
+	before := keptFiles(t, sessDir, "s000007")
+	if len(before) != 2 {
+		t.Fatalf("quarantine kept %v", before)
+	}
+
+	// The bundle of a live session under the same ID on another worker.
+	_, tsB := newWorkerServer(t, nil)
+	resp := postJSON(t, tsB.URL+"/v1/tag/sessions", json.RawMessage(sessionSpec), map[string]string{AssignIDHeader: "s000007"})
+	if body := readBody(t, resp); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create on the exporter: status %d: %s", resp.StatusCode, body)
+	}
+	feedSession(t, tsB.URL, "s000007", EventItem{Time: event.At(1996, 7, 1, 9, 0, 0), Type: "a"})
+	resp = postJSON(t, tsB.URL+"/internal/sessions/s000007/export", nil, nil)
+	var bundle SessionBundle
+	if err := json.Unmarshal(readBody(t, resp), &bundle); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("export: status %d, %v", resp.StatusCode, err)
+	}
+
+	resp = postJSON(t, ts.URL+"/internal/sessions/import", &bundle, nil)
+	if body := readBody(t, resp); resp.StatusCode != http.StatusConflict || !bytes.Contains(body, []byte("already exists")) {
+		t.Fatalf("import over a quarantined record: status %d: %s", resp.StatusCode, body)
+	}
+	if after := keptFiles(t, sessDir, "s000007"); !maps.Equal(before, after) {
+		t.Fatalf("quarantined session's files changed:\nbefore: %v\nafter: %v", before, after)
+	}
+}
+
+// TestRefreshIsDurable: an acknowledged refresh is on disk when it
+// returns. A done session-attached job is restored into a store with no
+// workers and refreshed; a fresh store over the same directory (the daemon
+// died before the attempt ran) re-queues it instead of keeping the old
+// result.
+func TestRefreshIsDurable(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *jobStore {
+		t.Helper()
+		st, err := newJobStore(dir, granularity.Default(), engine.NewCounters(), 0, 4, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := st.restore(log.New(io.Discard, "", 0)); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	var req JobCreateRequest
+	if err := json.Unmarshal([]byte(`{"problem":`+sessionJobProblem+`,"session_id":"s000001"}`), &req); err != nil {
+		t.Fatal(err)
+	}
+	first := open()
+	if err := first.persist(&job{id: "j000001", req: req, state: JobDone}); err != nil {
+		t.Fatal(err)
+	}
+	first.shutdown()
+
+	second := open()
+	if _, err := second.refresh("j000001"); err != nil {
+		t.Fatal(err)
+	}
+	second.shutdown()
+	third := open()
+	defer third.shutdown()
+	if got := third.counters.Get("server.jobs.requeued"); got != 1 {
+		t.Fatalf("server.jobs.requeued = %d after an acknowledged refresh, want 1", got)
 	}
 }

@@ -1,14 +1,10 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/cli"
@@ -59,8 +55,8 @@ type session struct {
 	auto   *tag.TAG
 	runner *tag.Runner
 
-	// log is the session's durable event log (nil when disabled or after
-	// an append failure degraded the session to checkpoint-per-feed).
+	// log is the session's durable event log (nil after an open or append
+	// failure degraded the session to checkpoint-per-feed).
 	// logStart is the session event count at which the log begins;
 	// sinceCkpt counts events fed since the last persisted checkpoint.
 	log       *store.Store
@@ -79,42 +75,33 @@ type session struct {
 	sealed bool
 }
 
-// sessionStore owns the live sessions and their on-disk records
-// (<dir>/<id>.json).
+// sessionStore owns the live sessions and their on-disk records.
 type sessionStore struct {
 	mu        sync.Mutex
-	dir       string
+	records   *recordDir
 	sys       *granularity.System
 	counters  *engine.Counters
 	max       int
 	ckptEvery int
-	noLog     bool
 	sessions  map[string]*session
-	nextID    int
 }
 
-func newSessionStore(dir string, sys *granularity.System, counters *engine.Counters, max int, ckptEvery int, noLog bool) (*sessionStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+func newSessionStore(dir string, sys *granularity.System, counters *engine.Counters, max int, ckptEvery int) (*sessionStore, error) {
+	records, err := newRecordDir(dir, "session", "s")
+	if err != nil {
 		return nil, err
 	}
 	if ckptEvery < 1 {
 		ckptEvery = 1
 	}
 	return &sessionStore{
-		dir:       dir,
+		records:   records,
 		sys:       sys,
 		counters:  counters,
 		max:       max,
 		ckptEvery: ckptEvery,
-		noLog:     noLog,
 		sessions:  make(map[string]*session),
-		nextID:    1,
 	}, nil
-}
-
-// logDir is the session's durable event-log directory.
-func (st *sessionStore) logDir(id string) string {
-	return filepath.Join(st.dir, id+".events")
 }
 
 // logOptions configures a session event log. SyncEvery stays at the
@@ -148,15 +135,9 @@ func (st *sessionStore) runOptions(strict bool, maxFrontier int, budget int64) t
 
 // create compiles the complex type and opens a new session, persisting its
 // initial record before returning the ID. A non-empty assignID (a router
-// placing the session on its hash ring) overrides the local s%06d scheme;
-// it must be unused, live or on disk.
+// placing the session on its hash ring) overrides the local s%06d scheme
+// under the recordDir claim rule.
 func (st *sessionStore) create(req *SessionCreateRequest, ct *core.ComplexType, assignID string) (*session, error) {
-	if err := validAssignedID(assignID); err != nil {
-		return nil, err
-	}
-	if assignID != "" && st.onDisk(assignID) {
-		return nil, fmt.Errorf("server: session %q already exists", assignID)
-	}
 	auto, err := tag.Compile(ct)
 	if err != nil {
 		return nil, err
@@ -166,13 +147,10 @@ func (st *sessionStore) create(req *SessionCreateRequest, ct *core.ComplexType, 
 		st.mu.Unlock()
 		return nil, fmt.Errorf("server: session limit (%d) reached: %w", st.max, errBusy)
 	}
-	id := assignID
-	if id == "" {
-		id = fmt.Sprintf("s%06d", st.nextID)
-		st.nextID++
-	} else if _, dup := st.sessions[id]; dup {
+	id, err := st.records.claim(assignID)
+	if err != nil {
 		st.mu.Unlock()
-		return nil, fmt.Errorf("server: session %q already exists", id)
+		return nil, err
 	}
 	s := &session{
 		id:     id,
@@ -186,15 +164,12 @@ func (st *sessionStore) create(req *SessionCreateRequest, ct *core.ComplexType, 
 	st.sessions[id] = s
 	st.mu.Unlock()
 
-	if !st.noLog {
-		lg, _, err := store.Open(st.logDir(id), st.logOptions())
-		if err != nil {
-			// No log is a robustness downgrade, not a failure: the session
-			// falls back to checkpoint-per-feed persistence.
-			st.counters.Count("server.sessions.log_degraded", 1)
-		} else {
-			s.log = lg
-		}
+	if lg, _, err := store.Open(st.records.logDir(id), st.logOptions()); err != nil {
+		// No log is a robustness downgrade, not a failure: the session
+		// falls back to checkpoint-per-feed persistence.
+		st.counters.Count("server.sessions.log_degraded", 1)
+	} else {
+		s.log = lg
 	}
 	if err := st.persist(s); err != nil {
 		st.mu.Lock()
@@ -203,7 +178,7 @@ func (st *sessionStore) create(req *SessionCreateRequest, ct *core.ComplexType, 
 		if s.log != nil {
 			s.log.Close()
 		}
-		os.RemoveAll(st.logDir(id))
+		st.records.remove(id)
 		return nil, err
 	}
 	st.counters.Count("server.sessions.created", 1)
@@ -234,8 +209,7 @@ func (st *sessionStore) close(id string) bool {
 		s.log = nil
 	}
 	s.mu.Unlock()
-	os.Remove(st.path(id))
-	os.RemoveAll(st.logDir(id))
+	st.records.remove(id)
 	return true
 }
 
@@ -310,8 +284,8 @@ func (st *sessionStore) feed(s *session, items []EventItem, after *int64) (*Sess
 // via ScanFromTick — the sparse per-granularity index narrows the load to
 // the consolidated suffix instead of walking the whole log — and the exact
 // index filter drops the already-covered records of the same day. A
-// session without a live log (closed, disabled, or degraded) cannot back
-// an incremental job.
+// session without a live log (closed or degraded) cannot back an
+// incremental job.
 func (st *sessionStore) tail(id string, from, fromTime int64) ([]store.Rec, int64, error) {
 	s, ok := st.get(id)
 	if !ok {
@@ -360,34 +334,6 @@ func (s *session) streamLocked() *cli.StreamResult {
 	return sr
 }
 
-// path is the session's record file.
-func (st *sessionStore) path(id string) string {
-	return filepath.Join(st.dir, id+".json")
-}
-
-// onDisk reports whether a record or event log for id is on disk. A
-// session a restart did not restore keeps both, so its ID stays taken: a
-// new session under it would overwrite the record and reopen the old log,
-// whose events the next restart would replay into the new session.
-func (st *sessionStore) onDisk(id string) bool {
-	for _, p := range []string{st.path(id), st.logDir(id)} {
-		if _, err := os.Stat(p); err == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// reserveID keeps the local s%06d scheme above id, the ID of a record or
-// log that restore left on disk.
-func (st *sessionStore) reserveID(id string) {
-	st.mu.Lock()
-	if n := idNumber(id, "s"); n >= st.nextID {
-		st.nextID = n + 1
-	}
-	st.mu.Unlock()
-}
-
 // persist checkpoints a session's record atomically; callers hold s.mu (or
 // the session is not yet published).
 func (st *sessionStore) persist(s *session) error {
@@ -408,11 +354,7 @@ func (st *sessionStore) persist(s *session) error {
 		LogStart:       s.logStart,
 		Checkpoint:     cp,
 	}
-	if err := cli.SaveCheckpoint(st.path(s.id), func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(&rec)
-	}); err != nil {
+	if err := st.records.save(s.id, &rec); err != nil {
 		return err
 	}
 	s.sinceCkpt = 0
@@ -441,69 +383,30 @@ func (st *sessionStore) checkpointAll() error {
 }
 
 // restore reloads every session record from disk into a live runner and
-// replays each session's event-log tail past its last checkpoint. A record
-// that fails to decode is quarantined to <name>.corrupt; one that no
-// longer validates (foreign fingerprint, changed build) is skipped with a
-// log line rather than taking the daemon down, its file and log left in
-// place for inspection and its ID kept out of reuse. Event-log directories
-// whose record is gone (a close or failed create that crashed between the
-// two deletes) are swept away.
-// It reports the aggregate log recovery, how many sessions came back, and
-// how many events were replayed from logs.
+// replays each session's event-log tail past its last checkpoint, through
+// the recordDir restore walk. A record that no longer validates (foreign
+// fingerprint, changed build) is skipped with a log line rather than
+// taking the daemon down. It reports the aggregate log recovery, how many
+// sessions came back, and how many events were replayed from logs.
 func (st *sessionStore) restore(logger *log.Logger) (agg store.Recovery, restored int, replayed int64, err error) {
-	entries, err := os.ReadDir(st.dir)
-	if err != nil {
-		return agg, 0, 0, err
-	}
-	var names, logDirs []string
-	for _, e := range entries {
-		switch {
-		case !e.IsDir() && strings.HasSuffix(e.Name(), ".json"):
-			names = append(names, e.Name())
-		case e.IsDir() && strings.HasSuffix(e.Name(), ".events"):
-			logDirs = append(logDirs, e.Name())
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		rec, n, rerr := st.restoreOne(name, logger)
+	restored, err = st.records.restore(logger, func(id string) error {
+		rec, n, err := st.load(id, logger)
 		agg.Add(rec)
 		replayed += n
-		if rerr != nil {
-			logger.Printf("session record %s not restored: %v", name, rerr)
-			st.reserveID(strings.TrimSuffix(name, ".json"))
-			continue
-		}
-		restored++
-	}
-	for _, d := range logDirs {
-		id := strings.TrimSuffix(d, ".events")
-		if _, serr := os.Stat(st.path(id)); serr == nil {
-			continue
-		}
-		// Keep the log when its record was quarantined — it is evidence.
-		if _, serr := os.Stat(st.path(id) + ".corrupt"); serr == nil {
-			st.reserveID(id)
-			continue
-		}
-		os.RemoveAll(filepath.Join(st.dir, d))
-	}
-	return agg, restored, replayed, nil
+		return err
+	})
+	return agg, restored, replayed, err
 }
 
-func (st *sessionStore) restoreOne(name string, logger *log.Logger) (store.Recovery, int64, error) {
-	path := filepath.Join(st.dir, name)
+// load rebuilds the session stored under id (claimed by the caller) and
+// makes it live.
+func (st *sessionStore) load(id string, logger *log.Logger) (store.Recovery, int64, error) {
 	var rec sessionRecord
-	loaded, err := cli.LoadCheckpoint(path, func(r io.Reader) error {
-		dec := json.NewDecoder(r)
-		dec.DisallowUnknownFields()
-		return dec.Decode(&rec)
-	})
-	if err != nil {
+	if err := st.records.load(id, &rec); err != nil {
 		return store.Recovery{}, 0, err
 	}
-	if !loaded {
-		return store.Recovery{}, 0, fmt.Errorf("record vanished during restore")
+	if rec.ID != id {
+		return store.Recovery{}, 0, fmt.Errorf("record of session %s holds id %q", id, rec.ID)
 	}
 	if rec.Version != sessionRecordVersion {
 		return store.Recovery{}, 0, fmt.Errorf("session record version %d, this build reads %d", rec.Version, sessionRecordVersion)
@@ -521,7 +424,7 @@ func (st *sessionStore) restoreOne(name string, logger *log.Logger) (store.Recov
 		return store.Recovery{}, 0, err
 	}
 	s := &session{
-		id:             rec.ID,
+		id:             id,
 		spec:           rec.Spec,
 		strict:         rec.Strict,
 		maxFr:          rec.MaxFrontier,
@@ -533,21 +436,12 @@ func (st *sessionStore) restoreOne(name string, logger *log.Logger) (store.Recov
 		haveAcceptTime: rec.HaveAcceptTime,
 		logStart:       rec.LogStart,
 	}
-	st.mu.Lock()
-	_, dup := st.sessions[rec.ID]
-	st.mu.Unlock()
-	if dup {
-		return store.Recovery{}, 0, fmt.Errorf("duplicate session id %s", rec.ID)
-	}
 	srec, replayed, err := st.attachAndReplay(s, logger)
 	if err != nil {
 		return srec, replayed, err
 	}
 	st.mu.Lock()
-	st.sessions[rec.ID] = s
-	if n := idNumber(rec.ID, "s"); n >= st.nextID {
-		st.nextID = n + 1
-	}
+	st.sessions[id] = s
 	st.mu.Unlock()
 	st.counters.Count("server.sessions.restored", 1)
 	return srec, replayed, nil
@@ -556,80 +450,61 @@ func (st *sessionStore) restoreOne(name string, logger *log.Logger) (store.Recov
 // attachAndReplay opens the session's event log and feeds the tail past
 // the checkpoint's coverage back into the runner. A log that is degraded
 // or shorter than what the checkpoint covers cannot be trusted to extend
-// the session: it is set aside as <id>.events.damaged and a fresh log
-// starts at the current event count — the checkpoint itself is intact, so
-// nothing acknowledged is lost, only unreplayable tail evidence moves
-// aside. With logging disabled, a leftover log is replayed once into a
-// covering checkpoint and then removed.
+// the session: it is set aside as <id>.events.damaged. Then, as for a
+// record with no log at all (a checkpoint-only data dir, or a create whose
+// log failed to open), a fresh log starts at the current event count — the
+// checkpoint itself is intact, so nothing acknowledged is lost, only
+// unreplayable tail evidence moves aside.
 func (st *sessionStore) attachAndReplay(s *session, logger *log.Logger) (store.Recovery, int64, error) {
-	dir := st.logDir(s.id)
-	if st.noLog {
-		if _, err := os.Stat(dir); err != nil {
-			return store.Recovery{}, 0, nil
-		}
-		lg, rec, err := store.Open(dir, st.logOptions())
+	dir := st.records.logDir(s.id)
+	var rec store.Recovery
+	if exists(dir) {
+		lg, orec, err := store.Open(dir, st.logOptions())
+		rec = orec
 		if err != nil {
-			return store.Recovery{}, 0, err
+			return rec, 0, err
 		}
-		replayed, rerr := st.replay(s, lg)
-		lg.Close()
-		if rerr != nil {
-			return rec, replayed, rerr
+		expected := int64(s.events) - s.logStart
+		degraded, _ := lg.Degraded()
+		have := lg.Len()
+		if !degraded && expected >= 0 && have >= expected {
+			s.log = lg
+			replayed, rerr := st.replay(s, lg)
+			if rerr != nil {
+				lg.Close()
+				s.log = nil
+				return rec, replayed, rerr
+			}
+			if replayed > 0 {
+				if err := st.persist(s); err != nil {
+					logger.Printf("session %s: checkpoint after replay failed: %v", s.id, err)
+				}
+			}
+			return rec, replayed, nil
 		}
-		// The checkpoint must cover the replayed events before the log —
-		// their only other durable copy — is dropped.
-		if err := st.persist(s); err != nil {
-			return rec, replayed, err
-		}
-		s.logStart = 0
-		os.RemoveAll(dir)
-		return rec, replayed, nil
-	}
-
-	lg, rec, err := store.Open(dir, st.logOptions())
-	if err != nil {
-		return store.Recovery{}, 0, err
-	}
-	expected := int64(s.events) - s.logStart
-	degraded, _ := lg.Degraded()
-	have := lg.Len()
-	if degraded || expected < 0 || have < expected {
 		lg.Close()
 		damaged := dir + ".damaged"
 		os.RemoveAll(damaged)
 		if rerr := os.Rename(dir, damaged); rerr != nil {
 			return rec, 0, fmt.Errorf("setting aside unusable event log: %w", rerr)
 		}
-		cli.SyncDir(st.dir)
+		store.DirFS{}.SyncDir(st.records.dir)
 		logger.Printf("session %s: event log unusable (degraded=%v, %d record(s) where the checkpoint covers %d); moved to %s",
 			s.id, degraded, have, expected, filepath.Base(damaged))
 		st.counters.Count("server.sessions.log_reset", 1)
-		fresh, frec, err := store.Open(dir, st.logOptions())
-		rec.Add(frec)
-		if err != nil {
-			st.counters.Count("server.sessions.log_degraded", 1)
-		} else {
-			s.log = fresh
-		}
-		s.logStart = int64(s.events)
-		if err := st.persist(s); err != nil {
-			logger.Printf("session %s: checkpoint after log reset failed: %v", s.id, err)
-		}
-		return rec, 0, nil
 	}
-	s.log = lg
-	replayed, rerr := st.replay(s, lg)
-	if rerr != nil {
-		lg.Close()
-		s.log = nil
-		return rec, replayed, rerr
+	fresh, frec, err := store.Open(dir, st.logOptions())
+	rec.Add(frec)
+	if err != nil {
+		st.counters.Count("server.sessions.log_degraded", 1)
+	} else {
+		s.log = fresh
 	}
-	if replayed > 0 {
-		if err := st.persist(s); err != nil {
-			logger.Printf("session %s: checkpoint after replay failed: %v", s.id, err)
-		}
+	s.logStart = int64(s.events)
+	if err := st.persist(s); err != nil {
+		logger.Printf("session %s: checkpoint after log reset failed: %v", s.id, err)
 	}
-	return rec, replayed, nil
+	return rec, 0, nil
 }
 
 // replay feeds the log records past the checkpoint's coverage into the
@@ -656,20 +531,4 @@ func (st *sessionStore) replay(s *session, lg *store.Store) (int64, error) {
 		}
 	}
 	return replayed, nil
-}
-
-// idNumber extracts the numeric suffix of a "<prefix>NNNNNN" id (0 when
-// the id has another shape).
-func idNumber(id, prefix string) int {
-	if !strings.HasPrefix(id, prefix) {
-		return 0
-	}
-	n := 0
-	for _, c := range id[len(prefix):] {
-		if c < '0' || c > '9' {
-			return 0
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n
 }
