@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench experiments fuzz-smoke race-stress bench-json bench-json-pr6 bench-json-pr7 bench-json-pr8 bench-json-pr9 bench-json-pr10 serve-smoke cluster-smoke oracle-smoke crash-smoke cover
+.PHONY: build test check bench experiments fuzz-smoke race-stress bench-json serve-smoke cluster-smoke oracle-smoke crash-smoke cover
 
 build:
 	$(GO) build ./...
@@ -55,42 +55,13 @@ crash-smoke:
 race-stress:
 	$(GO) test -race -run 'Parallel|Concurrent|Batch|Counters|SingleFlight|Chaos' ./...
 
-# Full parallel benchmark run; writes BENCH_PR3.json and gates >20%
-# regressions against scripts/bench_baseline_pr3.json (regenerate the
-# baseline with `sh scripts/bench_compare.sh baseline`).
+# Full micro-benchmark run: every gate of scripts/benchgate's table (TAG
+# step, Fig-3 cover, store append, incremental mining, router proxy and
+# migration, zoo ticks, and the E13/TAG-batch scans against the median of
+# their last five same-shape history rows), then one line per benchmark
+# appended to BENCH_HISTORY.jsonl.
 bench-json:
-	sh scripts/bench_compare.sh
-
-# TAG-core benchmark run; writes BENCH_PR6.json and gates single-thread
-# TAG stepping at <=78826 ns/op (the retired interpreter's last figure
-# over 3), the >=5x Fig-3 cover conversion vs direct calendar arithmetic,
-# and the TAG core's allocs/op.
-bench-json-pr6:
-	sh scripts/bench_compare.sh pr6
-
-# Event-store benchmark run; writes BENCH_PR7.json (append ns/op with and
-# without fsync, full-scan recovery) and gates the append path's allocs/op.
-bench-json-pr7:
-	sh scripts/bench_compare.sh pr7
-
-# Incremental-mining benchmark run; writes BENCH_PR8.json (append+snapshot
-# against a 100k-event stream vs a full batch re-mine) and gates the
-# no-rescan property (>=20x).
-bench-json-pr8:
-	sh scripts/bench_compare.sh pr8
-
-# Calendar-zoo benchmark run; writes BENCH_PR10.json (zoned/fiscal/trading
-# tick resolution at 2026 through System.Ticker, fiscal months also on
-# direct arithmetic) and gates the Ticker lookups at allocs/op == 0.
-bench-json-pr10:
-	sh scripts/bench_compare.sh pr10
-
-# Cluster-tier benchmark run; writes BENCH_PR9.json (router proxy overhead
-# on /v1/check, 10k-event session migration) and gates proxy overhead
-# <=2x standalone plus the migration's no-rescan property (replayed/op
-# under the checkpoint stride).
-bench-json-pr9:
-	sh scripts/bench_compare.sh pr9
+	$(GO) run ./scripts/benchgate full
 
 experiments:
 	$(GO) run ./cmd/experiments

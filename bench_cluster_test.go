@@ -1,10 +1,9 @@
-// PR-9 benchmarks: the cluster tier's two costs. Router proxy overhead on
+// Cluster-tier benchmarks: the router's two costs. Router proxy overhead on
 // /v1/check (gated at <=2x a direct worker call — both sides pay one HTTP
 // round trip, the router pays two) and a 10k-event session migration
 // (gated on replayed/op: the import must restore from the strided
 // checkpoint plus a tail replay shorter than the stride, never a full log
-// rescan). scripts/bench_compare.sh pr9 runs these and writes
-// BENCH_PR9.json.
+// rescan). scripts/benchgate checks both gates.
 package tempo
 
 import (
@@ -107,9 +106,9 @@ func BenchmarkRouterProxyCheck(b *testing.B) {
 // restore from the strided checkpoint, replay the tail), forget on the
 // donor. Ops alternate direction so every op starts from steady state.
 // The reported replayed/op is the import's log-tail replay length; the
-// pr9 gate requires it under the checkpoint stride — a full rescan would
-// report ~10000, while the strided checkpoint (refreshed by the export
-// seal) keeps it at the 3-event initial tail amortized toward zero.
+// no-rescan gate requires it under the checkpoint stride — a full rescan
+// would report ~10000, while the strided checkpoint (refreshed by the
+// export seal) keeps it at the 3-event initial tail amortized toward zero.
 func BenchmarkSessionMigration10k(b *testing.B) {
 	workers := [2]*httptest.Server{benchWorker(b), benchWorker(b)}
 

@@ -1,8 +1,8 @@
-// PR-8 benchmarks: incremental mining over a live stream versus batch
-// re-mining from scratch. scripts/bench_compare.sh pr8 runs these, writes
-// BENCH_PR8.json and gates the no-rescan property — appending one event to
-// a 100k-event stream and snapshotting must beat a full batch re-mine by
-// >=20x, or the incremental miner has silently degraded into a rescan.
+// Mining-layer benchmarks: incremental mining over a live stream versus
+// batch re-mining from scratch. scripts/benchgate gates the no-rescan
+// property: appending one event to a 100k-event stream and snapshotting
+// must beat a full batch re-mine by >=20x, or the incremental miner has
+// silently degraded into a rescan.
 package tempo
 
 import (
@@ -54,8 +54,8 @@ func benchIncrementalSeq(n int) event.Sequence {
 // BenchmarkIncrementalAppend100k: one Append+Snapshot per op against a
 // miner that has already consumed 100k events — the steady-state cost of
 // keeping a session-attached mining job current. The op must not depend on
-// the 100k history (closed references live in O(1) counters); the pr8 gate
-// compares it against BenchmarkBatchRemine100k.
+// the 100k history (closed references live in O(1) counters); the
+// no-rescan gate compares it against BenchmarkBatchRemine100k.
 func BenchmarkIncrementalAppend100k(b *testing.B) {
 	b.ReportAllocs()
 	sys := granularity.Default()

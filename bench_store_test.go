@@ -1,7 +1,6 @@
-// PR-7 benchmarks: the append-only event store's write path with and
-// without fsync-per-append, and recovery's full-scan rebuild when the
-// manifest is missing. scripts/bench_compare.sh pr7 runs these, writes
-// BENCH_PR7.json and gates the no-sync append's allocs/op.
+// Store-layer benchmarks: the append-only event store's write path with
+// and without fsync-per-append, and recovery's full-scan rebuild when the
+// manifest is missing. scripts/benchgate gates both appends' allocs/op.
 package tempo
 
 import (
@@ -40,7 +39,7 @@ func BenchmarkStoreAppendNoSync(b *testing.B) {
 
 // BenchmarkStoreAppendSynced: one Append per op at the durability setting
 // tempod's session logs run with (fsync before every acknowledgement) —
-// the number BENCH_PR7.json reports as the cost of crash safety.
+// the cost of crash safety next to BenchmarkStoreAppendNoSync.
 func BenchmarkStoreAppendSynced(b *testing.B) {
 	b.ReportAllocs()
 	s, _, err := store.Open(filepath.Join(b.TempDir(), "log"), store.Options{SyncEvery: 1})

@@ -381,7 +381,7 @@ func benchE13Setup() (event.Sequence, mining.Problem, mining.PipelineOptions) {
 }
 
 // BenchmarkE13MiningSerial: the unscreened E13 scan on one goroutine — the
-// baseline for the parallel speedup recorded in BENCH_PR3.json.
+// baseline for the parallel speedup scripts/benchgate gates on 4+ cores.
 func BenchmarkE13MiningSerial(b *testing.B) {
 	b.ReportAllocs()
 	seq, p, opt := benchE13Setup()

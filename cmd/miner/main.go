@@ -14,7 +14,9 @@
 // writes a resumable snapshot of its per-candidate scan progress to FILE,
 // and a later invocation with the same flags loads it and continues —
 // reporting exactly the discovery set an uninterrupted mine would have. The
-// file is removed once the mine completes.
+// file is removed once the mine completes. A mine interrupted before the
+// step-5 scan writes no snapshot: steps 1-4 re-run on every start, so only
+// a larger -budget or -timeout gets further.
 //
 // A spec with an "assign" entry restricts the candidate pool of the listed
 // variables (the paper's Φ); assign the root only via -ref.
@@ -158,7 +160,15 @@ func run(out io.Writer, specPath, problemPath, seqPath, ref, gransFlag string, d
 		} else {
 			ds, stats, next, err = mining.OptimizedCheckpoint(sys, p, seq, opt)
 		}
-		if next != nil {
+		switch {
+		case next != nil && next.Stage == mining.StageSteps:
+			// A steps-stage checkpoint records no progress: a resume re-runs
+			// steps 1-4 and trips the same budget at the same point.
+			if loaded && cp.Stage == mining.StageSteps {
+				os.Remove(cpPath)
+			}
+			fmt.Fprintf(textw, "no checkpoint written: steps 1-4 re-run on every start, so only a larger -budget or -timeout gets further\n")
+		case next != nil:
 			var buf bytes.Buffer
 			if serr := next.Encode(&buf); serr != nil {
 				return serr
@@ -167,7 +177,7 @@ func run(out io.Writer, specPath, problemPath, seqPath, ref, gransFlag string, d
 				return serr
 			}
 			fmt.Fprintf(textw, "checkpoint written to %s (stage %s)\n", cpPath, next.Stage)
-		} else if err == nil {
+		case err == nil:
 			// The mine finished; a leftover snapshot would resume a done run.
 			os.Remove(cpPath)
 		}

@@ -7,9 +7,12 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/event"
-
 	"repro/internal/cli"
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/event"
+	"repro/internal/granularity"
+	"repro/internal/mining"
 )
 
 func writeMinerFiles(t *testing.T) (spec, seq string) {
@@ -191,9 +194,11 @@ func TestMinerDSLSpec(t *testing.T) {
 	}
 }
 
-// TestMinerCheckpointResume interrupts the mine with small budgets, resuming
-// from the written checkpoint with a doubled budget each round, and checks
-// the final discovery lines equal an uninterrupted run's.
+// TestMinerCheckpointResume interrupts the mine with small budgets, each
+// round 20 units larger, and checks the final discovery lines equal an
+// uninterrupted run's. The step is narrower than the ~50 units the step-5
+// scan takes here, so some round stops inside the scan and checkpoints it;
+// rounds that stop in steps 1-4 write nothing.
 func TestMinerCheckpointResume(t *testing.T) {
 	spec, seq := writeMinerFiles(t)
 	var want bytes.Buffer
@@ -212,7 +217,7 @@ func TestMinerCheckpointResume(t *testing.T) {
 	cp := filepath.Join(t.TempDir(), "mine.ckpt")
 	budget := int64(50)
 	var last string
-	interrupts := 0
+	interrupts, scanWrites := 0, 0
 	for i := 0; ; i++ {
 		if i > 40 {
 			t.Fatal("no convergence in 40 resumed mines")
@@ -224,16 +229,19 @@ func TestMinerCheckpointResume(t *testing.T) {
 		last = out.String()
 		if strings.Contains(last, "INTERRUPTED") {
 			interrupts++
-			if !strings.Contains(last, "checkpoint written to") {
-				t.Fatalf("interruption without checkpoint:\n%s", last)
+			switch {
+			case strings.Contains(last, "(stage scan)"):
+				scanWrites++
+			case !strings.Contains(last, stepsNote):
+				t.Fatalf("interruption neither checkpointed in the scan nor explained:\n%s", last)
 			}
-			budget *= 2
+			budget += 20
 			continue
 		}
 		break
 	}
-	if interrupts == 0 {
-		t.Fatal("budget never interrupted; test is vacuous")
+	if interrupts == 0 || scanWrites == 0 {
+		t.Fatalf("%d interruptions, %d scan-stage checkpoints; test is vacuous", interrupts, scanWrites)
 	}
 	if !strings.Contains(last, "resumed from") {
 		t.Fatalf("final run did not resume:\n%s", last)
@@ -249,6 +257,55 @@ func TestMinerCheckpointResume(t *testing.T) {
 	}
 	if _, err := os.Stat(cp); !os.IsNotExist(err) {
 		t.Fatalf("finished mine left checkpoint behind (err=%v)", err)
+	}
+}
+
+// stepsNote is what the miner prints instead of writing a checkpoint that
+// could not progress.
+const stepsNote = "no checkpoint written: steps 1-4 re-run on every start"
+
+// TestMinerStepsStageWritesNoCheckpoint: a budget that trips in steps 1-4
+// leaves nothing a resume could skip, so two runs at it write no checkpoint
+// and say why, and a steps-stage checkpoint left by an earlier build is
+// removed rather than resumed forever.
+func TestMinerStepsStageWritesNoCheckpoint(t *testing.T) {
+	spec, seq := writeMinerFiles(t)
+	cp := filepath.Join(t.TempDir(), "mine.ckpt")
+	s, assign, err := cli.LoadStructure(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, err := cli.ReadSequence(seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := mining.Problem{Structure: s, MinConfidence: 0.5, Reference: "overheat-m0", Candidates: map[core.Variable][]event.Type{}}
+	for v, typ := range assign {
+		p.Candidates[v] = []event.Type{typ}
+	}
+	opt := mining.PipelineOptions{Workers: cli.ResolveWorkers(0, 0), Engine: engine.Config{Budget: 50}}
+	_, _, old, err := mining.OptimizedCheckpoint(granularity.Default(), p, evs, opt)
+	if old == nil || old.Stage != mining.StageSteps {
+		t.Fatalf("budget 50 should stop in steps 1-4 (checkpoint %+v, err %v)", old, err)
+	}
+	var buf bytes.Buffer
+	if err := old.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cp, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		var out bytes.Buffer
+		if err := run(&out, spec, "", seq, "overheat-m0", "", nil, cp, 0.5, false, false, 0, 0, &cli.EngineFlags{Budget: 50}); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out.String(), "INTERRUPTED") || !strings.Contains(out.String(), stepsNote) {
+			t.Fatalf("run %d:\n%s", i, out.String())
+		}
+		if _, err := os.Stat(cp); !os.IsNotExist(err) {
+			t.Fatalf("run %d left a checkpoint behind (err=%v):\n%s", i, err, out.String())
+		}
 	}
 }
 

@@ -17,7 +17,6 @@
 package exact
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -72,6 +71,28 @@ func Solve(sys *granularity.System, s *core.EventStructure, opt Options) (*Verdi
 }
 
 func solveExec(ex *engine.Exec, sys *granularity.System, s *core.EventStructure, opt Options) (*Verdict, error) {
+	sv, err := newSolver(ex, sys, s, opt)
+	if err != nil {
+		return nil, err
+	}
+	if sv == nil {
+		return &Verdict{Satisfiable: false, RefutedByPropagation: true}, nil
+	}
+	var witness map[core.Variable]int64
+	err = sv.run("exact.search", func(w map[core.Variable]int64) bool {
+		witness = w
+		return false
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Verdict{Satisfiable: witness != nil, Witness: witness, Nodes: sv.nodes}, nil
+}
+
+// newSolver validates the horizon, runs the pruning propagation and sets
+// up the search over the horizon's boundary points. It returns a nil
+// solver when propagation refutes s.
+func newSolver(ex *engine.Exec, sys *granularity.System, s *core.EventStructure, opt Options) (*solver, error) {
 	if opt.Start < 1 || opt.End <= opt.Start {
 		return nil, fmt.Errorf("exact: invalid horizon [%d,%d]", opt.Start, opt.End)
 	}
@@ -84,43 +105,25 @@ func solveExec(ex *engine.Exec, sys *granularity.System, s *core.EventStructure,
 		return nil, err
 	}
 	if !prop.Consistent {
-		return &Verdict{Satisfiable: false, RefutedByPropagation: true}, nil
+		return nil, nil
 	}
-
 	points := boundaryPoints(sys, s.Granularities(), opt.Start, opt.End)
-	if len(points) == 0 {
-		return &Verdict{Satisfiable: false}, nil
-	}
 	order, err := s.TopoOrder()
 	if err != nil {
 		return nil, err
 	}
-
 	sv := &solver{
 		sys:      sys,
 		s:        s,
 		prop:     prop,
 		points:   points,
 		order:    order,
-		assigned: make(map[core.Variable]int64, len(order)),
+		assigned: make([]int64, len(order)),
 		maxNodes: maxNodes,
 		ex:       ex,
 	}
 	sv.precomputeBounds()
-	defer ex.Stage("exact.search")()
-	found, err := sv.search(0)
-	sv.flushCounters()
-	if err != nil {
-		return nil, err
-	}
-	v := &Verdict{Satisfiable: found, Nodes: sv.nodes}
-	if found {
-		v.Witness = make(map[core.Variable]int64, len(sv.assigned))
-		for k, t := range sv.assigned {
-			v.Witness[k] = t
-		}
-	}
-	return v, nil
+	return sv, nil
 }
 
 // boundaryPoints collects the sorted, deduplicated starts of every granule
@@ -161,12 +164,17 @@ func boundaryPoints(sys *granularity.System, grans []string, start, end int64) [
 }
 
 type solver struct {
-	sys      *granularity.System
-	s        *core.EventStructure
-	prop     *propagate.Result
-	points   []int64
-	order    []core.Variable
-	assigned map[core.Variable]int64
+	sys    *granularity.System
+	s      *core.EventStructure
+	prop   *propagate.Result
+	points []int64
+	order  []core.Variable
+	// assigned[k] is order[k]'s timestamp; entries k and beyond are stale
+	// while the search assigns order[k].
+	assigned []int64
+	// emit receives each full assignment in search order; false stops
+	// the search.
+	emit     func(map[core.Variable]int64) bool
 	nodes    int64
 	maxNodes int64
 	// ex meters the search against the engine budget/deadline; nil means
@@ -207,16 +215,29 @@ func (sv *solver) precomputeBounds() {
 	}
 }
 
-// search assigns order[k..]; returns whether a full assignment was found.
+// run searches under the named stage timer, handing each full assignment
+// to emit until it returns false.
+func (sv *solver) run(stage string, emit func(map[core.Variable]int64) bool) error {
+	defer sv.ex.Stage(stage)()
+	sv.emit = emit
+	_, err := sv.search(0)
+	sv.flushCounters()
+	return err
+}
+
+// search assigns order[k..]; it reports whether emit stopped the search.
 func (sv *solver) search(k int) (bool, error) {
 	if k == len(sv.order) {
-		return true, nil
+		w := make(map[core.Variable]int64, len(sv.order))
+		for i, v := range sv.order {
+			w[v] = sv.assigned[i]
+		}
+		return !sv.emit(w), nil
 	}
-	v := sv.order[k]
 	// Intersect the windows implied by every assigned variable.
 	winLo, winHi := sv.points[0], sv.points[len(sv.points)-1]
 	for j := 0; j < k; j++ {
-		tj := sv.assigned[sv.order[j]]
+		tj := sv.assigned[j]
 		if l := sv.lo[j][k]; l > -stp.Inf {
 			if nl := tj + l; nl > winLo {
 				winLo = nl
@@ -242,27 +263,24 @@ func (sv *solver) search(k int) (bool, error) {
 			return false, err
 		}
 		t := sv.points[i]
-		if !sv.consistentWithAssigned(v, t) {
+		if !sv.consistentWithAssigned(k, t) {
 			sv.prunes++
 			continue
 		}
-		sv.assigned[v] = t
-		ok, err := sv.search(k + 1)
-		if err != nil {
-			return false, err
+		sv.assigned[k] = t
+		if stopped, err := sv.search(k + 1); stopped || err != nil {
+			return stopped, err
 		}
-		if ok {
-			return true, nil
-		}
-		delete(sv.assigned, v)
 	}
 	return false, nil
 }
 
-// consistentWithAssigned checks every explicit TCG between v and the
-// already-assigned variables.
-func (sv *solver) consistentWithAssigned(v core.Variable, t int64) bool {
-	for u, tu := range sv.assigned {
+// consistentWithAssigned checks every explicit TCG between order[k] at t
+// and the variables assigned before it, in topological order.
+func (sv *solver) consistentWithAssigned(k int, t int64) bool {
+	v := sv.order[k]
+	for j, tu := range sv.assigned[:k] {
+		u := sv.order[j]
 		for _, c := range sv.s.Constraints(u, v) {
 			if !c.Satisfied(sv.sys, tu, t) {
 				return false
@@ -279,7 +297,7 @@ func (sv *solver) consistentWithAssigned(v core.Variable, t int64) bool {
 
 // Enumerate returns up to limit distinct satisfying assignments (boundary
 // witnesses) of the structure within the horizon, in the search's
-// deterministic order. It reuses Solve's machinery but continues past the
+// deterministic order. It runs Solve's search but continues past the
 // first witness. Distinctness is per boundary-point assignment; the full
 // (uncountable in general) solution space collapses onto boundary points by
 // the same snapping argument Solve's completeness rests on.
@@ -293,109 +311,17 @@ func enumerateExec(ex *engine.Exec, sys *granularity.System, s *core.EventStruct
 	if limit < 1 {
 		return nil, fmt.Errorf("exact: limit must be positive")
 	}
-	if opt.Start < 1 || opt.End <= opt.Start {
-		return nil, fmt.Errorf("exact: invalid horizon [%d,%d]", opt.Start, opt.End)
-	}
-	maxNodes := opt.MaxNodes
-	if maxNodes <= 0 {
-		maxNodes = DefaultMaxNodes
-	}
-	prop, err := propagate.RunExec(ex, sys, s, opt.Propagate)
-	if err != nil {
+	sv, err := newSolver(ex, sys, s, opt)
+	if sv == nil || err != nil {
 		return nil, err
 	}
-	if !prop.Consistent {
-		return nil, nil
-	}
-	points := boundaryPoints(sys, s.Granularities(), opt.Start, opt.End)
-	if len(points) == 0 {
-		return nil, nil
-	}
-	order, err := s.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	sv := &solver{
-		sys:      sys,
-		s:        s,
-		prop:     prop,
-		points:   points,
-		order:    order,
-		assigned: make(map[core.Variable]int64, len(order)),
-		maxNodes: maxNodes,
-		ex:       ex,
-	}
-	sv.precomputeBounds()
-	defer ex.Stage("exact.enumerate")()
 	var out []map[core.Variable]int64
-	err = sv.enumerate(0, func() bool {
-		w := make(map[core.Variable]int64, len(sv.assigned))
-		for k, t := range sv.assigned {
-			w[k] = t
-		}
+	err = sv.run("exact.enumerate", func(w map[core.Variable]int64) bool {
 		out = append(out, w)
 		return len(out) < limit
 	})
-	sv.flushCounters()
-	if err != nil && err != errStopEnumeration {
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
-
-// enumerate is search generalized to visit every full assignment; emit
-// returns false to stop early. The boolean result is "keep going".
-func (sv *solver) enumerate(k int, emit func() bool) error {
-	if k == len(sv.order) {
-		if !emit() {
-			return errStopEnumeration
-		}
-		return nil
-	}
-	v := sv.order[k]
-	winLo, winHi := sv.points[0], sv.points[len(sv.points)-1]
-	for j := 0; j < k; j++ {
-		tj := sv.assigned[sv.order[j]]
-		if l := sv.lo[j][k]; l > -stp.Inf {
-			if nl := tj + l; nl > winLo {
-				winLo = nl
-			}
-		}
-		if h := sv.hi[j][k]; h < stp.Inf {
-			if nh := tj + h; nh < winHi {
-				winHi = nh
-			}
-		}
-	}
-	if winLo > winHi {
-		return nil
-	}
-	first := sort.Search(len(sv.points), func(i int) bool { return sv.points[i] >= winLo })
-	for i := first; i < len(sv.points) && sv.points[i] <= winHi; i++ {
-		sv.nodes++
-		if sv.nodes > sv.maxNodes {
-			return fmt.Errorf("exact: search budget of %d nodes exceeded", sv.maxNodes)
-		}
-		if err := sv.ex.Step(1); err != nil {
-			return err
-		}
-		t := sv.points[i]
-		if !sv.consistentWithAssigned(v, t) {
-			continue
-		}
-		sv.assigned[v] = t
-		err := sv.enumerate(k+1, emit)
-		delete(sv.assigned, v)
-		if err != nil {
-			if err == errStopEnumeration {
-				return err
-			}
-			return err
-		}
-	}
-	return nil
-}
-
-// errStopEnumeration signals the emit callback asked to stop; Enumerate
-// swallows it.
-var errStopEnumeration = errors.New("exact: stop enumeration")

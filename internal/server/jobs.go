@@ -83,10 +83,8 @@ func (j *job) status() *JobStatusResponse {
 
 // sessionTailFunc reads a live session's durable event log for an
 // attached incremental mining job: the records from index `from` onward
-// (fromTime, when positive, is the timestamp at `from`, letting the read
-// resume from the last consolidated tick instead of scanning the whole
-// log) plus the log's current length — the attempt's high-water mark.
-type sessionTailFunc func(id string, from, fromTime int64) ([]store.Rec, int64, error)
+// plus the log's current length — the attempt's high-water mark.
+type sessionTailFunc func(id string, from int64) ([]store.Rec, int64, error)
 
 // jobStore owns the mining jobs: a bounded FIFO queue drained by a fixed
 // worker pool. A job's record is persisted when it is accepted (submit,
@@ -205,8 +203,6 @@ func (st *jobStore) enqueue(j *job) {
 // submit, so syncing is deferred to Close (which fsyncs the tail).
 func (st *jobStore) logOptions() store.Options {
 	return store.Options{
-		System:          st.sys,
-		Grans:           []string{"day"},
 		SegmentMaxBytes: 1 << 20,
 		SyncEvery:       1 << 20,
 	}
@@ -406,13 +402,13 @@ func (st *jobStore) runIncremental(j *job, req JobCreateRequest, resume *mining.
 	}
 	opt.Engine = engine.Config{Observer: st.counters}
 
-	from, fromTime := int64(0), int64(0)
+	from := int64(0)
 	if resume != nil && resume.Stage == mining.StageIncremental && resume.Incremental != nil {
-		from, fromTime = resume.Incremental.ReplayFrom, resume.Incremental.ReplayTime
+		from = resume.Incremental.ReplayFrom
 	} else {
 		resume = nil
 	}
-	recs, logLen, err := st.sessionTail(req.SessionID, from, fromTime)
+	recs, logLen, err := st.sessionTail(req.SessionID, from)
 	if err != nil {
 		st.fail(j, err)
 		return
@@ -423,7 +419,7 @@ func (st *jobStore) runIncremental(j *job, req JobCreateRequest, resume *mining.
 		if err != nil {
 			st.counters.Count("server.jobs.incremental_restarted", 1)
 			resume = nil
-			if recs, logLen, err = st.sessionTail(req.SessionID, 0, 0); err != nil {
+			if recs, logLen, err = st.sessionTail(req.SessionID, 0); err != nil {
 				st.fail(j, err)
 				return
 			}

@@ -108,18 +108,7 @@ func newSessionStore(dir string, sys *granularity.System, counters *engine.Count
 // default (every append) so an acknowledged feed is on disk before any
 // checkpoint can claim to cover it.
 func (st *sessionStore) logOptions() store.Options {
-	// The "day" tick index accelerates ScanFromTick; a custom system (an
-	// embedder injecting Config.System) may not define it, and the log must
-	// still open — the index is an optimization, never a requirement.
-	var grans []string
-	if _, ok := st.sys.Ticker("day"); ok {
-		grans = []string{"day"}
-	}
-	return store.Options{
-		System:          st.sys,
-		Grans:           grans,
-		SegmentMaxBytes: 256 << 10,
-	}
+	return store.Options{SegmentMaxBytes: 256 << 10}
 }
 
 // runOptions builds the engine-backed run options for a session's runner.
@@ -279,14 +268,9 @@ func (st *sessionStore) feed(s *session, items []EventItem, after *int64) (*Sess
 
 // tail reads a session's durable event log for an attached incremental
 // mining job: the records from index `from` onward plus the log's current
-// length. When fromTime is known (the timestamp at `from`, recorded in the
-// job's consolidation checkpoint), the read resumes from that day's tick
-// via ScanFromTick — the sparse per-granularity index narrows the load to
-// the consolidated suffix instead of walking the whole log — and the exact
-// index filter drops the already-covered records of the same day. A
-// session without a live log (closed or degraded) cannot back an
+// length. A session without a live log (closed or degraded) cannot back an
 // incremental job.
-func (st *sessionStore) tail(id string, from, fromTime int64) ([]store.Rec, int64, error) {
+func (st *sessionStore) tail(id string, from int64) ([]store.Rec, int64, error) {
 	s, ok := st.get(id)
 	if !ok {
 		return nil, 0, fmt.Errorf("server: no session %q", id)
@@ -297,23 +281,6 @@ func (st *sessionStore) tail(id string, from, fromTime int64) ([]store.Rec, int6
 		return nil, 0, fmt.Errorf("server: session %s has no live event log", id)
 	}
 	n := s.log.Len()
-	if from > 0 && fromTime > 0 {
-		if tick, ok := st.sys.TickOf("day", fromTime); ok {
-			recs, err := s.log.ScanFromTick("day", tick)
-			// The scan must reach back to `from` (the record at `from` has
-			// time fromTime, so its tick is >= the probe); if it somehow
-			// does not, fall through to the exact read.
-			if err == nil && len(recs) > 0 && recs[0].Index <= from {
-				out := recs[:0:0]
-				for _, r := range recs {
-					if r.Index >= from {
-						out = append(out, r)
-					}
-				}
-				return out, n, nil
-			}
-		}
-	}
 	recs, err := s.log.ReadFrom(from)
 	return recs, n, err
 }

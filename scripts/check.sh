@@ -4,6 +4,13 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# The run must leave the working tree as it found it; outside a git
+# checkout there is nothing to compare.
+tree=none
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+	tree="$(git status --porcelain; git diff)"
+fi
+
 echo '>> go build ./...'
 go build ./...
 echo '>> go vet ./...'
@@ -39,16 +46,11 @@ sh scripts/cluster_smoke.sh
 echo '>> crash smoke (fault-injected store sweep + kill -9 tempod recovery)'
 CRASH_SWEEP_SEEDS="${CRASH_SWEEP_SEEDS:-60}" go test -count=1 -run 'TestCrashSweep|TestErrorSweep' ./internal/store/
 go test -count=1 -run 'TestKillDuringAppend' ./cmd/tempod/
-echo '>> bench smoke (parallel scan, no gate)'
-sh scripts/bench_compare.sh smoke
-echo '>> bench smoke (TAG core, allocs/op gate)'
-sh scripts/bench_compare.sh pr6-smoke
-echo '>> bench smoke (event store, allocs/op gate)'
-sh scripts/bench_compare.sh pr7-smoke
-echo '>> bench smoke (incremental mining, no-rescan gate)'
-sh scripts/bench_compare.sh pr8-smoke
-echo '>> bench smoke (cluster tier, migration no-rescan gate)'
-sh scripts/bench_compare.sh pr9-smoke
-echo '>> bench smoke (calendar-zoo tables, allocs/op gate)'
-sh scripts/bench_compare.sh pr10-smoke
+echo '>> bench smoke (machine-independent micro-benchmark gates, writes nothing)'
+go run ./scripts/benchgate smoke
+if [ "$tree" != none ] && [ "$(git status --porcelain; git diff)" != "$tree" ]; then
+	echo 'check: the steps above changed the working tree:' >&2
+	git status --porcelain >&2
+	exit 1
+fi
 echo 'check: OK'
